@@ -12,9 +12,9 @@
 //!   same agents at the same relative phase of the run and reach the
 //!   same verdict share a signature — the frontier treats them as one
 //!   behavior and spends its budget elsewhere.
-//! * [`CoverageMap`] — the concurrent dedup set plus counters, with a
-//!   tear-free [`CoverageMap::stats`] snapshot (same double-read
-//!   protocol as `AgentMetrics::snapshot`).
+//! * [`CoverageMap`] — the concurrent dedup set plus counters, kept
+//!   under one lock so [`CoverageMap::stats`] never sees half of an
+//!   observation.
 //!
 //! Because both deterministic engines produce byte-identical grant
 //! sequences, outcomes and leaders for the same `(instance, seed,
@@ -26,7 +26,6 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of equal phase windows the grant sequence is split into for
 /// the interleaving features. Coarse on purpose: the point is to group
@@ -62,8 +61,8 @@ pub fn signature_with(schedule: &[usize], report: &RunReport) -> u64 {
     h.finish()
 }
 
-/// A point-in-time view of a [`CoverageMap`], internally consistent
-/// (taken with the same double-read protocol as `AgentMetrics`).
+/// A point-in-time view of a [`CoverageMap`], read under its lock, so
+/// `schedules == unique + revisits` always holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageStats {
     /// Schedules observed (every [`CoverageMap::observe`] call).
@@ -80,11 +79,14 @@ pub struct CoverageStats {
 /// readers snapshot consistent stats while the swarm is live.
 #[derive(Debug, Default)]
 pub struct CoverageMap {
-    set: Mutex<HashSet<u64>>,
-    schedules: AtomicU64,
-    unique: AtomicU64,
-    revisits: AtomicU64,
-    max_ticks: AtomicU64,
+    inner: Mutex<Covered>,
+}
+
+/// The set and its counters, updated together under one lock.
+#[derive(Debug, Default)]
+struct Covered {
+    set: HashSet<u64>,
+    stats: CoverageStats,
 }
 
 impl CoverageMap {
@@ -96,30 +98,27 @@ impl CoverageMap {
     /// Record one run: returns `true` iff the signature is novel (the
     /// frontier uses this to decide which schedules to mutate).
     pub fn observe(&self, sig: u64, ticks: u64) -> bool {
-        // Counters are bumped under the set lock so a snapshot's retry
-        // loop only ever races a short window, never a half-applied
-        // observation that stays torn.
-        let mut set = self.set.lock();
-        let novel = set.insert(sig);
-        self.schedules.fetch_add(1, Ordering::SeqCst);
+        let mut inner = self.inner.lock();
+        let novel = inner.set.insert(sig);
+        let stats = &mut inner.stats;
+        stats.schedules += 1;
         if novel {
-            self.unique.fetch_add(1, Ordering::SeqCst);
+            stats.unique += 1;
         } else {
-            self.revisits.fetch_add(1, Ordering::SeqCst);
+            stats.revisits += 1;
         }
-        self.max_ticks.fetch_max(ticks, Ordering::SeqCst);
-        drop(set);
+        stats.max_ticks = stats.max_ticks.max(ticks);
         novel
     }
 
     /// Whether `sig` has been observed.
     pub fn contains(&self, sig: u64) -> bool {
-        self.set.lock().contains(&sig)
+        self.inner.lock().set.contains(&sig)
     }
 
     /// Number of distinct signatures covered.
     pub fn len(&self) -> usize {
-        self.set.lock().len()
+        self.inner.lock().set.len()
     }
 
     /// Whether nothing has been covered yet.
@@ -131,31 +130,15 @@ impl CoverageMap {
     /// "covered set" the worker-count determinism contract is stated
     /// over.
     pub fn signatures(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.set.lock().iter().copied().collect();
+        let mut v: Vec<u64> = self.inner.lock().set.iter().copied().collect();
         v.sort_unstable();
         v
     }
 
-    fn read_once(&self) -> CoverageStats {
-        CoverageStats {
-            schedules: self.schedules.load(Ordering::SeqCst),
-            unique: self.unique.load(Ordering::SeqCst),
-            revisits: self.revisits.load(Ordering::SeqCst),
-            max_ticks: self.max_ticks.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Tear-free snapshot: read the counter tuple twice and retry until
-    /// both passes agree, so `schedules == unique + revisits` holds in
-    /// every snapshot even while workers are observing.
+    /// The counters, read under the lock every observation holds while
+    /// it bumps them.
     pub fn stats(&self) -> CoverageStats {
-        loop {
-            let a = self.read_once();
-            let b = self.read_once();
-            if a == b {
-                return a;
-            }
-        }
+        self.inner.lock().stats
     }
 }
 

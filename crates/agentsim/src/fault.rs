@@ -421,7 +421,9 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Plain-data snapshot.
+    /// Plain-data snapshot. The engines take it only after every agent
+    /// thread has joined, so no writer is live and the counters (one
+    /// crash bumps `crashes` and `lost_ops` together) are never torn.
     pub fn snapshot(&self) -> FaultSummary {
         FaultSummary {
             crashes: self.crashes.load(Ordering::Relaxed),

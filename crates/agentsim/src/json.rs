@@ -96,7 +96,7 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
 /// | `qelect-response/1` | the `qelectd` daemon (election, `/healthz`, `/metrics`, error bodies) | `qelectctl load`, curl |
 /// | `qelect-load/1` | `qelectctl load` (and the committed `BENCH_serve.json`) | the serving benchmark gate |
 /// | `qelect-simbench/1` | `qelectctl simbench` (and the committed `BENCH_sim.json`) | the engine-throughput record |
-/// | `qelect-canonbench/1` | `qelectctl canonbench` (and the committed `BENCH_canon.json`) | the canonicalization-kernel scaling record |
+/// | `qelect-canonbench/2` | `qelectctl canonbench` (and the committed `BENCH_canon.json`) | the canonicalization-kernel and ELECT end-to-end scaling record |
 /// | `qelect-zoo/1` | `qelectctl zoo` (and the committed `BENCH_zoo.json`) | the cross-protocol experiment gate |
 /// | `qelect-explore/1` | `qelectctl explore --json` (and the committed `BENCH_explore.json`) | the schedule-exploration coverage record |
 pub mod envelope {
@@ -124,8 +124,9 @@ pub mod envelope {
     pub const SIMBENCH: &str = "qelect-simbench/1";
     /// `qelectctl canonbench` reports (and the committed
     /// `BENCH_canon.json`): oracle-vs-worklist canonicalization timings
-    /// with a built-in byte-identity check.
-    pub const CANONBENCH: &str = "qelect-canonbench/1";
+    /// with a built-in byte-identity check, and the ELECT end-to-end
+    /// curve.
+    pub const CANONBENCH: &str = "qelect-canonbench/2";
     /// `qelectctl zoo` reports (and the committed `BENCH_zoo.json`):
     /// every registered protocol run across a shared instance family,
     /// each verdict gated on its protocol's own oracle — the empirical
@@ -155,7 +156,7 @@ pub mod envelope {
             ),
             (LOAD, "qelectctl load serving-benchmark reports"),
             (SIMBENCH, "gated-vs-sim engine-throughput reports"),
-            (CANONBENCH, "canonicalization-kernel scaling reports"),
+            (CANONBENCH, "canonicalization and ELECT scaling reports"),
             (ZOO, "cross-protocol zoo experiment reports"),
             (EXPLORE, "schedule-exploration coverage reports"),
         ]
@@ -483,7 +484,13 @@ mod tests {
         let all = envelope::all();
         assert_eq!(all.len(), 11);
         for (i, (name, desc)) in all.iter().enumerate() {
-            assert!(name.ends_with("/1"), "{name} lacks a version suffix");
+            let version = name
+                .rsplit_once('/')
+                .and_then(|(_, v)| v.parse::<u32>().ok());
+            assert!(
+                version.is_some_and(|v| v >= 1),
+                "{name} lacks a version suffix"
+            );
             assert!(name.starts_with("qelect-"), "{name}");
             assert!(!desc.is_empty());
             for (other, _) in &all[i + 1..] {

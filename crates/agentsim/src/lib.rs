@@ -31,7 +31,10 @@
 //! * [`sim`] — deterministic and **single-threaded**: the same gate
 //!   semantics as a discrete-event simulation over virtual time
 //!   (byte-identical metrics, traces and fault addressing), with no
-//!   per-step thread handoffs — the engine for 10⁴–10⁵-node instances.
+//!   per-step thread handoffs. ELECT on a 10⁴-node cycle with three
+//!   agents runs end to end in about 0.45 s (`BENCH_canon.json`, a
+//!   2-core host); the step-light ring prober runs that cycle in
+//!   milliseconds.
 //! * [`freerun`] — fully parallel: agents run concurrently with
 //!   `parking_lot` mutexes and condvars; used by the throughput
 //!   benchmarks.

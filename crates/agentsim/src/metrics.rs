@@ -268,8 +268,10 @@ impl SpanTracker {
     /// with a `(moves, accesses, waits)` state the agent actually passed
     /// through. Virtual ends are clamped to each span's start
     /// (`max` component-wise), so a span opened concurrently with the
-    /// observation never yields an underflowed delta.
-    pub fn snapshot(&self, counters: &AgentMetrics, cache: Option<CacheStats>) -> Vec<PhaseSpan> {
+    /// observation never yields an underflowed delta. Open spans carry
+    /// no cache delta: a cache reading taken by the observer could
+    /// predate the span's own opening reading.
+    pub fn snapshot(&self, counters: &AgentMetrics) -> Vec<PhaseSpan> {
         loop {
             let before = counters.snapshot();
             let mut spans = {
@@ -287,10 +289,7 @@ impl SpanTracker {
                         start: open.start,
                         end,
                         covered: add3(open.covered, child_inclusive),
-                        cache: match (open.cache_start, cache) {
-                            (Some(s), Some(now)) => Some(s.delta(&now)),
-                            _ => None,
-                        },
+                        cache: None,
                     };
                     child_inclusive = span.inclusive();
                     spans.push(span);
@@ -561,7 +560,7 @@ mod tests {
         let t = SpanTracker::new(0);
         t.open("outer", (0, 0, 0), None);
         t.open("inner", (3, 1, 0), None);
-        let spans = t.snapshot(&am, None);
+        let spans = t.snapshot(&am);
         assert_eq!(spans.len(), 2);
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         let inner = spans.iter().find(|s| s.name == "inner").unwrap();

@@ -39,7 +39,7 @@ pub enum Engine {
     /// agents are event-driven state machines over virtual time, no OS
     /// threads, byte-identical to [`Engine::Gated`] on metrics, traces
     /// and fault addressing — and orders of magnitude faster per step,
-    /// which is what unlocks 10⁴–10⁵-node instances.
+    /// which makes 10⁴-node instances tier-1 test material.
     Sim,
 }
 

@@ -152,7 +152,7 @@ fn span_snapshot_is_torn_read_free_under_concurrent_spans() {
         })
     };
     for _ in 0..5_000 {
-        let spans = tracker.snapshot(&am, None);
+        let spans = tracker.snapshot(&am);
         let mut sum = (0u64, 0u64, 0u64);
         for span in &spans {
             let inc = span.inclusive();

@@ -1,10 +1,10 @@
 //! E8 ablation — cost of the Lemma 3.1 machinery: canonical forms,
 //! automorphism orbits, and the full COMPUTE & ORDER class computation
-//! (the paper's own remark flags these as the protocol's computational
-//! bottleneck).
+//! (one canonicalization plus the orbit ordering; the paper's own remark
+//! flags this step as the protocol's computational bottleneck).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qelect_graph::canon::{canonicalize, canonicalize_traced, canonicalize_with_hint};
+use qelect_graph::canon::canonicalize;
 use qelect_graph::surrounding::{ordered_classes, surrounding};
 use qelect_graph::{families, oracle, Bicolored, ColoredDigraph};
 
@@ -81,22 +81,6 @@ fn bench_oracle_vs_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Incremental canonicalization: replaying a sibling root's refinement
-/// trace vs canonicalizing each surrounding cold.
-fn bench_incremental_hint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("canon/incremental");
-    let bc = Bicolored::new(families::circulant(64, &[1, 3]).unwrap(), &[0, 1]).unwrap();
-    let (_, hint) = canonicalize_traced(&surrounding(&bc, 0));
-    let d = surrounding(&bc, 1);
-    group.bench_with_input(BenchmarkId::from_parameter("cold"), &d, |b, d| {
-        b.iter(|| canonicalize(d).orbit_count)
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("hinted"), &d, |b, d| {
-        b.iter(|| canonicalize_with_hint(d, &hint).orbit_count)
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -104,6 +88,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
     targets = bench_canonical_forms, bench_compute_and_order,
-        bench_oracle_vs_kernel, bench_incremental_hint
+        bench_oracle_vs_kernel
 }
 criterion_main!(benches);

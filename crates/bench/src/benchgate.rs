@@ -13,7 +13,9 @@
 //!    carry its expected `"schema"` tag (unknown `BENCH_*` files fail
 //!    the gate — they are either typos or missing registry entries);
 //! 2. any report with a top-level `"passed"` field must say `true`;
-//! 3. `BENCH_serve.json` must report warm throughput of at least
+//! 3. `BENCH_canon.json` must carry its ELECT end-to-end curve up to
+//!    [`ELECT_CURVE_TOP_N`] nodes;
+//! 4. `BENCH_serve.json` must report warm throughput of at least
 //!    `--min-warm-rps × (1 − --tolerance)`, where the floor defaults
 //!    to [`REQUIRED_WARM_SPEEDUP`] × the PR 5 single-shard baseline
 //!    ([`PR5_WARM_RPS`]), plus zero disagreements in every phase.
@@ -33,6 +35,10 @@ pub const PR5_WARM_RPS: f64 = 636.57;
 /// The serving-scale target: warm batched throughput must be at least
 /// this multiple of [`PR5_WARM_RPS`].
 pub const REQUIRED_WARM_SPEEDUP: f64 = 5.0;
+
+/// The ELECT end-to-end curve in `BENCH_canon.json` must reach this
+/// many nodes.
+pub const ELECT_CURVE_TOP_N: f64 = 10_000.0;
 
 /// Registry of benchmark reports this repo commits: file name and the
 /// schema tag its envelope must carry.
@@ -166,6 +172,20 @@ fn check_report(
             if v < 1.0 {
                 return Err(format!("\"{field}\" is {v} (must be >= 1)"));
             }
+        }
+        return Ok(());
+    }
+    if name == "BENCH_canon.json" {
+        let top = json::get(&obj, "elect")
+            .and_then(Value::as_array)
+            .ok_or("missing the \"elect\" curve")?
+            .iter()
+            .filter_map(|r| json::get(r.as_object()?, "n")?.as_num())
+            .fold(0.0, f64::max);
+        if top < ELECT_CURVE_TOP_N {
+            return Err(format!(
+                "the ELECT curve stops at n = {top} (must reach {ELECT_CURVE_TOP_N})"
+            ));
         }
         return Ok(());
     }
@@ -354,6 +374,35 @@ mod tests {
         let report = run(&cfg).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("schedules_total"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gate_checks_the_canon_report_for_its_elect_curve() {
+        let dir = tmp_dir("canon");
+        let cfg = GateConfig {
+            dir: dir.to_str().unwrap().into(),
+            ..GateConfig::default()
+        };
+        let report = |top: u32| {
+            format!(
+                "{{\"schema\": \"qelect-canonbench/2\", \"elect\": [{{\"n\": 100}}, \
+                 {{\"n\": {top}}}], \"passed\": true}}"
+            )
+        };
+        std::fs::write(dir.join("BENCH_canon.json"), report(10_000)).unwrap();
+        assert!(run(&cfg).unwrap().passed());
+        std::fs::write(dir.join("BENCH_canon.json"), report(800)).unwrap();
+        let out = run(&cfg).unwrap();
+        assert!(!out.passed());
+        assert!(out.render().contains("ELECT curve"), "{}", out.render());
+        // The retired version-1 schema is refused.
+        std::fs::write(
+            dir.join("BENCH_canon.json"),
+            "{\"schema\": \"qelect-canonbench/1\", \"passed\": true}",
+        )
+        .unwrap();
+        assert!(!run(&cfg).unwrap().passed());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

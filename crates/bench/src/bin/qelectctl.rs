@@ -211,22 +211,29 @@ fn simbench(inv: SimBenchInvocation) {
 
 fn canonbench(inv: CanonBenchInvocation) {
     println!(
-        "# Canonicalization kernel — {} instances × {} repeats, oracle vs worklist/pruned/incremental\n",
+        "# Canonicalization — {} kernel instances, oracle vs worklist/pruned; \
+         ELECT end to end at {} sizes; {} repeats\n",
         inv.config.instances.len(),
+        inv.config.elect_sizes.len(),
         inv.config.repeats,
     );
     let report = qelect_bench::canonbench::run_canonbench(&inv.config);
     print!("{}", report.render());
     write_file(&inv.json, &report.to_json());
-    println!("qelect-canonbench/1 report written to {}", inv.json);
+    println!(
+        "{} report written to {}",
+        qelect_bench::canonbench::CANONBENCH_SCHEMA,
+        inv.json
+    );
     if !report.passed() {
         eprintln!(
-            "FAIL: kernel divergence from the IR oracle, or largest-rung cold speedup below {}x",
+            "FAIL: kernel divergence from the IR oracle, largest-rung cold speedup below {}x, \
+             or an ELECT run disagreeing with the gcd oracle",
             qelect_bench::canonbench::REQUIRED_LARGEST_SPEEDUP,
         );
         std::process::exit(1);
     }
-    println!("PASS: byte-identical to the IR oracle on every instance, speedup gate met");
+    println!("PASS: byte-identical to the IR oracle, speedup gate met, every election agrees");
 }
 
 fn benchgate(inv: BenchGateInvocation) {

@@ -151,19 +151,18 @@
 //!            --json PATH           report path (default BENCH_sim.json)
 //! ```
 //!
-//! The `canonbench` subcommand runs the canonicalization-kernel
-//! benchmark (see [`crate::canonbench`]): cold canonicalization of the
+//! The `canonbench` subcommand runs the canonicalization benchmark
+//! (see [`crate::canonbench`]): cold canonicalization of the
 //! surrounding `S(0)` timed on the frozen pre-worklist oracle and on
-//! the production kernel, plus a per-root cold-vs-incremental phase,
-//! with a built-in byte-identity check between all three paths:
+//! the production kernel, with a built-in byte-identity check, plus
+//! ELECT end to end (prepare and one sim run) on `cycle:n@0,1,5`:
 //!
 //! ```text
 //! qelectctl canonbench [spec[@a0,a1,…]…] [options]
 //!
-//! specs:     instances to time (default: a Cayley ladder — circulants
+//! specs:     kernel instances (default: a Cayley ladder — circulants
 //!            to n=512, an 8×8 torus, Q6, a wrapped butterfly)
-//! options:   --repeats N           timed passes per measurement (default 3)
-//!            --incr-roots N        roots in the incremental phase (default 8)
+//! options:   --repeats N           timed passes per measurement (default 5)
 //!            --json PATH           report path (default BENCH_canon.json)
 //! ```
 //!
@@ -317,9 +316,9 @@ pub struct BenchGateInvocation {
 /// A fully parsed `canonbench` invocation.
 #[derive(Debug)]
 pub struct CanonBenchInvocation {
-    /// The kernel-comparison configuration (ladder, repeats, roots).
+    /// The benchmark configuration (ladders, repeats).
     pub config: crate::canonbench::CanonBenchConfig,
-    /// Where the `qelect-canonbench/1` report is written.
+    /// Where the canonbench report is written.
     pub json: String,
 }
 
@@ -1012,16 +1011,6 @@ pub fn parse_canonbench(args: &[String]) -> Result<CanonBenchInvocation, ParseEr
                 config.repeats = parse_usize(v, "repeat count")?;
                 if config.repeats == 0 {
                     return err("--repeats must be at least 1");
-                }
-            }
-            "--incr-roots" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--incr-roots needs a value".into()))?;
-                config.incr_roots = parse_usize(v, "root count")?;
-                if config.incr_roots == 0 {
-                    return err("--incr-roots must be at least 1");
                 }
             }
             "--json" => {
@@ -1912,8 +1901,11 @@ mod tests {
         let Command::Canonbench(inv) = cmd else {
             panic!("expected canonbench")
         };
-        assert_eq!(inv.config.repeats, 3);
-        assert_eq!(inv.config.incr_roots, 8);
+        assert_eq!(inv.config.repeats, 5);
+        assert_eq!(
+            inv.config.elect_sizes,
+            crate::canonbench::ELECT_LADDER.to_vec()
+        );
         assert_eq!(inv.json, "BENCH_canon.json");
         assert_eq!(
             inv.config.instances.len(),
@@ -1929,14 +1921,13 @@ mod tests {
         );
         let cmd = parse_command(&argv(
             "canonbench circulant:34:1,3@0,17 torus:4x4@0,1 --repeats 5 \
-             --incr-roots 2 --json C.json",
+             --json C.json",
         ))
         .unwrap();
         let Command::Canonbench(inv) = cmd else {
             panic!("expected canonbench")
         };
         assert_eq!(inv.config.repeats, 5);
-        assert_eq!(inv.config.incr_roots, 2);
         assert_eq!(inv.json, "C.json");
         let keys: Vec<String> = inv.config.instances.iter().map(|i| i.key()).collect();
         assert_eq!(keys, vec!["circulant:34:1,3@0,17", "torus:4x4@0,1"]);
@@ -1945,7 +1936,6 @@ mod tests {
     #[test]
     fn canonbench_rejects_nonsense() {
         assert!(parse_command(&argv("canonbench --repeats 0")).is_err());
-        assert!(parse_command(&argv("canonbench --incr-roots 0")).is_err());
         assert!(parse_command(&argv("canonbench nosuch:5")).is_err());
         assert!(parse_command(&argv("canonbench --frobnicate")).is_err());
     }

@@ -37,7 +37,7 @@
 //!
 //! **Instance-affine shards** — with `--shards N` the daemon runs N
 //! in-process shards, each owning its own admission queue, worker
-//! pool, prepared-instance map and incremental [`CanonSession`].
+//! pool and prepared-instance map.
 //! Requests are routed by the *canonical* fingerprint of their
 //! instance (isomorphic presentations share one canonical form, so
 //! they land on the same shard), which keeps warm per-instance state
@@ -76,7 +76,6 @@
 //! [`qelect-request/1`]: qelect_agentsim::json::envelope::REQUEST
 //! [`qelect-response/1`]: qelect_agentsim::json::envelope::RESPONSE
 //! [`PreparedElection`]: qelect::service::PreparedElection
-//! [`CanonSession`]: qelect_graph::cache::CanonSession
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -92,7 +91,7 @@ use qelect_agentsim::json::{self, envelope, escape, get, Value};
 use qelect_agentsim::registry::ProtocolEntry;
 use qelect_agentsim::sched::Policy;
 use qelect_agentsim::{Engine, FaultPlan, FaultSummary, RunConfig};
-use qelect_graph::cache::{self as gcache, CanonSession};
+use qelect_graph::cache as gcache;
 use qelect_graph::ColoredDigraph;
 
 use crate::spec::InstanceSpec;
@@ -279,15 +278,13 @@ impl ServerStats {
 }
 
 /// One instance-affine shard: its own admission queue, single-flight
-/// table, prepared-instance map and incremental canonicalization
-/// session. Warm state for an instance lives on exactly one shard (the
+/// table and prepared-instance map. Warm state for an instance lives on exactly one shard (the
 /// one its canonical fingerprint routes to).
 struct ShardState {
     queue: Mutex<VecDeque<Job>>,
     queue_cond: Condvar,
     inflight: Mutex<HashMap<String, Arc<JobCell>>>,
     instances: Mutex<HashMap<String, Arc<PreparedElection>>>,
-    session: Mutex<CanonSession>,
 }
 
 impl ShardState {
@@ -297,7 +294,6 @@ impl ShardState {
             queue_cond: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             instances: Mutex::new(HashMap::new()),
-            session: Mutex::new(CanonSession::new()),
         }
     }
 }
@@ -676,10 +672,8 @@ impl Daemon {
 
     /// The per-instance cache of one shard: spec key → prepared
     /// instance (graph + placement + oracle verdict), shared across
-    /// requests. A miss warms the canonical-form cache through the
-    /// shard's own [`CanonSession`] (incremental hints chain within a
-    /// shard), records the spec in the durable store, and prepares the
-    /// instance.
+    /// requests. A miss prepares the instance (warming the
+    /// canonical-form cache) and records the spec in the durable store.
     fn prepared_on(&self, shard_idx: usize, spec: &InstanceSpec) -> Arc<PreparedElection> {
         let shard = &self.shards[shard_idx];
         let key = spec.key();
@@ -688,11 +682,6 @@ impl Daemon {
             return Arc::clone(prep);
         }
         let bc = spec.bicolored().expect("placement validated at parse time");
-        {
-            let mut session = shard.session.lock();
-            let d = ColoredDigraph::from_bicolored(&bc);
-            let _ = gcache::canonicalize_cached_with(&mut session, &d);
-        }
         let prep = Arc::new(PreparedElection::new(bc));
         if let Some(store) = &self.store {
             let _ = store.record_spec(&key);

@@ -86,8 +86,8 @@ pub async fn compute_local_view_async<C: MobileCtxAsync>(
     // traffic to the phase.
     ctx.span_open("classes");
     let bc = map.to_bicolored();
-    // The memo cache collapses all isomorphic maps (every agent's, plus
-    // the oracle's global view) onto one COMPUTE & ORDER evaluation.
+    // One canonicalization of the map gives the classes and their
+    // order; both are isomorphism-invariant, so every agent agrees.
     let oc = ordered_classes_cached(&bc);
     let classes: Vec<Vec<usize>> = oc.classes.iter().map(|c| c.nodes.clone()).collect();
     let sizes: Vec<usize> = classes.iter().map(|c| c.len()).collect();

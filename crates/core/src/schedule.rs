@@ -210,6 +210,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn singleton_black_class_leads_and_no_phase_runs() {
+        // cycle:9@0,1,2,3,4 (the explore-swarm instance): black classes
+        // {2}, {1,3}, {0,4}. Ordering classes by size before canonical
+        // position makes {2} the first class, so |D| = 1 from the start.
+        use qelect_graph::surrounding::ordered_classes;
+        use qelect_graph::{families, Bicolored};
+        let bc = Bicolored::new(families::cycle(9).unwrap(), &[0, 1, 2, 3, 4]).unwrap();
+        let oc = ordered_classes(&bc);
+        assert_eq!(oc.classes[0].nodes, vec![2]);
+        let sizes: Vec<usize> = oc.classes.iter().map(|c| c.len()).collect();
+        let schedule = Schedule::from_class_sizes(&sizes, oc.ell);
+        assert!(schedule.phases.is_empty(), "{:?}", schedule.phases);
+        assert_eq!(schedule.final_d, 1);
+    }
+
+    #[test]
     fn agent_rounds_compute_gcd() {
         for (a, b) in [(6, 4), (4, 6), (9, 6), (5, 5), (1, 7), (12, 18), (7, 13)] {
             let rounds = agent_rounds(a, b);

@@ -14,7 +14,7 @@ use qelect_agentsim::{ElectionRun, RunConfig, RunError};
 use qelect_graph::{Bicolored, GraphError};
 
 use crate::elect::run_election;
-use crate::solvability::{elect_succeeds, gcd_of_class_sizes};
+use crate::solvability::gcd_of_class_sizes;
 
 /// An instance prepared for repeated election runs: the placed graph
 /// plus its precomputed oracle verdict.
@@ -31,15 +31,17 @@ pub struct PreparedElection {
 }
 
 impl PreparedElection {
-    /// Prepare an already-placed instance: compute the class gcd and the
-    /// Theorem 3.1 solvability verdict up front. This is the expensive
-    /// canonical-ordering step, memoized process-wide by
-    /// `qelect_graph::cache`, so preparation also warms the cache the
-    /// runs will hit.
+    /// Prepare an already-placed instance: compute the class gcd once
+    /// and derive the Theorem 3.1 solvability verdict from it. The
+    /// canonicalization behind the classes is memoized process-wide by
+    /// `qelect_graph::cache`.
     pub fn new(bc: Bicolored) -> PreparedElection {
         let gcd = gcd_of_class_sizes(&bc);
-        let solvable = elect_succeeds(&bc);
-        PreparedElection { bc, gcd, solvable }
+        PreparedElection {
+            bc,
+            gcd,
+            solvable: gcd == 1,
+        }
     }
 
     /// Build and place the instance, then prepare it.

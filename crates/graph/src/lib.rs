@@ -20,9 +20,9 @@
 //!   generators, and an isomorphism-invariant canonical word — the
 //!   deterministic total order `≺` of Lemma 3.1. The pre-worklist kernel
 //!   is frozen in [`oracle`] as a differential test oracle.
-//! * **Surroundings** ([`surrounding`]): the digraphs `S(u)` of
-//!   Definition 3.1, through which agents compute and order the equivalence
-//!   classes of `(G, p)`.
+//! * **Surroundings and classes** ([`surrounding`]): the digraphs `S(u)`
+//!   of Definition 3.1, and the ordered equivalence classes of `(G, p)`
+//!   that agents compute in COMPUTE & ORDER, read off one canonicalization.
 //! * **Graph families** ([`families`]): every interconnection topology the
 //!   paper names (cycles, hypercubes, toroidal meshes, cube-connected
 //!   cycles, wrapped butterflies, star graphs, circulants, complete graphs)
@@ -69,10 +69,7 @@ pub mod symmetricity;
 pub mod view;
 
 pub use bicolored::Bicolored;
-pub use cache::{
-    canonicalize_cached, canonicalize_cached_with, ordered_classes_cached,
-    ordered_classes_cached_with, CacheStats, CanonSession,
-};
+pub use cache::{canonicalize_cached, ordered_classes_cached, CacheStats};
 pub use digraph::ColoredDigraph;
 pub use error::GraphError;
 pub use graph::{End, Graph, GraphBuilder, Incidence, NodeId, Port};

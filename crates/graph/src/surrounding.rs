@@ -5,27 +5,22 @@
 //! whenever `{x, y} ∈ E` and `d(u, x) ≤ d(u, y)`. The node `u` is the
 //! unique node of in-degree 0 in `S(u)`, and two nodes are equivalent
 //! (Definition 2.1) iff their surroundings are isomorphic — the key fact in
-//! the proof of Lemma 3.1. Canonical forms of surroundings therefore both
-//! *decide* equivalence and *order* the classes: the total order `≺` is the
-//! lexicographic order on canonical forms.
+//! the proof of Lemma 3.1. Equivalent nodes are exactly the orbits of
+//! `Aut(G, p)`, which one canonicalization of `(G, p)` already returns.
 //!
-//! Protocol ELECT's `COMPUTE & ORDER` step is exactly
-//! [`ordered_classes`]: agents run it locally on their maps after
-//! MAP-DRAWING, and — because canonical forms are isomorphism-invariant —
-//! all agents agree on which node belongs to which class and on the class
-//! order, despite having drawn their maps independently.
+//! Protocol ELECT's `COMPUTE & ORDER` step is [`ordered_classes`]: agents
+//! run it locally on their maps after MAP-DRAWING. [`classes_from_canon`]
+//! reads the classes off a [`CanonResult`] and orders them by keys that
+//! are invariant under isomorphism (color, size, smallest canonical
+//! position), so all agents agree on which node belongs to which class and
+//! on the class order, despite having drawn their maps independently.
+//! The Lemma 3.1 Remark asks for no more: any deterministic,
+//! labeling-independent total order serves.
 
 use crate::bicolored::Bicolored;
-use crate::canon::{canonicalize, canonicalize_traced, canonicalize_with_hint, CanonicalForm};
+use crate::canon::{canonicalize, CanonResult};
 use crate::digraph::{Arc, ColoredDigraph};
 use crate::graph::NodeId;
-
-/// Below this node count the surroundings are cheap enough that the
-/// incremental hint machinery costs more than it saves; [`ordered_classes`]
-/// falls back to plain cold canonicalization. Either path is byte-identical
-/// ([`canonicalize_with_hint`]'s contract), so the threshold only tunes
-/// speed.
-pub(crate) const INCREMENTAL_MIN_N: usize = 32;
 
 /// Build the surrounding digraph `S(u)` of Definition 3.1.
 pub fn surrounding(bc: &Bicolored, u: NodeId) -> ColoredDigraph {
@@ -52,14 +47,12 @@ pub fn surrounding(bc: &Bicolored, u: NodeId) -> ColoredDigraph {
     ColoredDigraph::new(bc.node_colors(), arcs)
 }
 
-/// One equivalence class of `(G, p)`, carrying its canonical form (the key
-/// of the `≺` order) and whether its nodes are home-bases.
-#[derive(Debug, Clone)]
+/// One equivalence class of `(G, p)` and whether its nodes are
+/// home-bases.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EquivClass {
     /// The nodes of the class, sorted.
     pub nodes: Vec<NodeId>,
-    /// Canonical form of the surroundings of its nodes.
-    pub form: CanonicalForm,
     /// `true` iff the class consists of home-bases (black nodes).
     pub black: bool,
 }
@@ -79,7 +72,7 @@ impl EquivClass {
 /// The ordered classes of `(G, p)`: agent (black) classes
 /// `C_1 ≺ … ≺ C_ℓ` first, then node (white) classes
 /// `C_{ℓ+1} ≺ … ≺ C_k`, exactly the arrangement Protocol ELECT consumes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderedClasses {
     /// All classes; the first [`OrderedClasses::ell`] are black.
     pub classes: Vec<EquivClass>,
@@ -116,47 +109,44 @@ pub fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// Group nodes into equivalence classes by canonical surrounding form and
-/// order them per the paper: black classes first (by `≺`), then white
-/// classes (by `≺`).
-pub fn ordered_classes(bc: &Bicolored) -> OrderedClasses {
-    let mut by_form: Vec<(CanonicalForm, bool, Vec<NodeId>)> = Vec::new();
-    // The surroundings S(u) for the n roots share node set, colors, and
-    // most arcs (only edges whose endpoints swap distance order flip).
-    // On large instances, canonicalize the first root traced and replay
-    // its root refinement for every other root — byte-identical forms,
-    // fraction of the work (DESIGN §13).
-    let mut hint = None;
-    for u in 0..bc.n() {
-        let s = surrounding(bc, u);
-        let form = if bc.n() < INCREMENTAL_MIN_N {
-            canonicalize(&s).form
-        } else {
-            match &hint {
-                None => {
-                    let (res, h) = canonicalize_traced(&s);
-                    hint = Some(h);
-                    res.form
-                }
-                Some(h) => canonicalize_with_hint(&s, h).form,
-            }
-        };
-        match by_form.iter_mut().find(|(f, _, _)| *f == form) {
-            Some((_, _, nodes)) => nodes.push(u),
-            None => by_form.push((form, bc.is_black(u), vec![u])),
-        }
+/// COMPUTE & ORDER from one canonicalization of `(G, p)`: `canon` must be
+/// the canonicalization of `ColoredDigraph::from_bicolored(bc)`.
+///
+/// The classes are its orbits. They are ordered black first, then by
+/// size, then by the smallest canonical position `labeling[v]` in the
+/// class. All three keys are isomorphism-invariant: if `φ` maps `(G, p)`
+/// onto `(G', p')`, the canonical labelings satisfy `λ'∘φ = λ∘α` for some
+/// automorphism `α` of `(G, p)`, and `α` maps every orbit onto itself, so
+/// an orbit and its image occupy the same set of canonical positions.
+/// Distinct orbits occupy disjoint sets, so the order is total.
+///
+/// Size comes before position so that a singleton black class, when one
+/// exists, is `C_1` and ELECT's schedule needs no reduction phase.
+pub fn classes_from_canon(bc: &Bicolored, canon: &CanonResult) -> OrderedClasses {
+    debug_assert_eq!(canon.orbits.len(), bc.n(), "canon is of another instance");
+    let mut orbits: Vec<Vec<NodeId>> = vec![Vec::new(); canon.orbit_count];
+    for (v, &o) in canon.orbits.iter().enumerate() {
+        orbits[o as usize].push(v);
     }
-    let mut classes: Vec<EquivClass> = by_form
+    let mut keyed: Vec<((bool, usize, usize), EquivClass)> = orbits
         .into_iter()
-        .map(|(form, black, mut nodes)| {
-            nodes.sort_unstable();
-            EquivClass { nodes, form, black }
+        .map(|nodes| {
+            let black = bc.is_black(nodes[0]);
+            let first = nodes.iter().map(|&v| canon.labeling[v]).min();
+            let key = (!black, nodes.len(), first.expect("orbits are non-empty"));
+            (key, EquivClass { nodes, black })
         })
         .collect();
-    // Black classes first, each group ordered by ≺ (canonical form).
-    classes.sort_by(|a, b| b.black.cmp(&a.black).then_with(|| a.form.cmp(&b.form)));
+    keyed.sort_unstable_by_key(|(key, _)| *key);
+    let classes: Vec<EquivClass> = keyed.into_iter().map(|(_, c)| c).collect();
     let ell = classes.iter().filter(|c| c.black).count();
     OrderedClasses { classes, ell }
+}
+
+/// The ordered classes of `(G, p)` from one eager canonicalization (the
+/// memoized equivalent is `cache::ordered_classes_cached`).
+pub fn ordered_classes(bc: &Bicolored) -> OrderedClasses {
+    classes_from_canon(bc, &canonicalize(&ColoredDigraph::from_bicolored(bc)))
 }
 
 /// Equivalence classes as plain node sets (no ordering metadata).
@@ -168,11 +158,36 @@ pub fn equivalence_classes(bc: &Bicolored) -> Vec<Vec<NodeId>> {
         .collect()
 }
 
+/// The Definition 3.1 partition, computed the long way: group the nodes
+/// by the canonical form of their surroundings. Test-only fidelity check
+/// for [`classes_from_canon`]; sorted by smallest node.
+#[cfg(test)]
+pub(crate) fn surrounding_form_partition(bc: &Bicolored) -> Vec<Vec<NodeId>> {
+    let mut by_form: Vec<(crate::canon::CanonicalForm, Vec<NodeId>)> = Vec::new();
+    for u in 0..bc.n() {
+        let form = canonicalize(&surrounding(bc, u)).form;
+        match by_form.iter_mut().find(|(f, _)| *f == form) {
+            Some((_, nodes)) => nodes.push(u),
+            None => by_form.push((form, vec![u])),
+        }
+    }
+    by_form.into_iter().map(|(_, nodes)| nodes).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::automorphism::node_equivalence;
+    use crate::canon::{brute_force_automorphisms, Dsu};
     use crate::families;
+    use proptest::prelude::*;
+
+    /// The classes as a partition sorted by smallest node.
+    fn partition(oc: &OrderedClasses) -> Vec<Vec<NodeId>> {
+        let mut p: Vec<Vec<NodeId>> = oc.classes.iter().map(|c| c.nodes.clone()).collect();
+        p.sort();
+        p
+    }
 
     fn classes_agree_with_orbits(bc: &Bicolored) {
         let oc = ordered_classes(bc);
@@ -184,6 +199,67 @@ mod tests {
             for &v in &c.nodes {
                 assert_eq!(orbits.class[v], orbit);
             }
+        }
+        assert_eq!(partition(&oc), surrounding_form_partition(bc));
+    }
+
+    /// A random connected instance with `n` in `lo..hi` nodes and up to
+    /// three home-bases spread from the seed.
+    fn instance(lo: usize, hi: usize) -> impl Strategy<Value = Bicolored> {
+        (lo..hi, 0.05f64..0.6, any::<u64>(), 0usize..4).prop_map(|(n, p, seed, r)| {
+            let g = families::random_connected(n, p, seed).unwrap();
+            let mut homes: Vec<usize> = Vec::new();
+            let mut x = seed;
+            while homes.len() < r.min(n) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = (x >> 33) as usize % n;
+                if !homes.contains(&v) {
+                    homes.push(v);
+                }
+            }
+            Bicolored::new(g, &homes).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The orbit classes are the Definition 3.1 partition: nodes
+        /// with isomorphic surroundings, for n ≤ 24.
+        #[test]
+        fn classes_equal_the_surrounding_form_partition(bc in instance(2, 25)) {
+            let oc = ordered_classes(&bc);
+            prop_assert_eq!(partition(&oc), surrounding_form_partition(&bc));
+        }
+    }
+
+    proptest! {
+        // Each case enumerates all n! permutations.
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The orbit classes equal the orbits of the brute-force
+        /// automorphism group, for n ≤ 8 (independent of the IR search
+        /// that produced `CanonResult::orbits`).
+        #[test]
+        fn classes_equal_brute_force_orbits(bc in instance(2, 9)) {
+            let d = ColoredDigraph::from_bicolored(&bc);
+            let mut dsu = Dsu::new(bc.n());
+            for a in brute_force_automorphisms(&d) {
+                for (v, &av) in a.iter().enumerate() {
+                    dsu.union(v, av);
+                }
+            }
+            let labels = dsu.labels();
+            let mut orbits: Vec<Vec<NodeId>> = Vec::new();
+            for v in 0..bc.n() {
+                match orbits.iter_mut().find(|o| labels[o[0]] == labels[v]) {
+                    Some(o) => o.push(v),
+                    None => orbits.push(vec![v]),
+                }
+            }
+            prop_assert_eq!(partition(&ordered_classes(&bc)), orbits);
         }
     }
 
@@ -250,6 +326,19 @@ mod tests {
     }
 
     #[test]
+    fn classes_are_ordered_by_size_within_each_color() {
+        // C9 with homes {0,1,2,3,4}: black classes {2}, {1,3}, {0,4} and
+        // white classes {6,7}, {5,8}. The singleton black class leads.
+        let g = families::cycle(9).unwrap();
+        let bc = Bicolored::new(g, &[0, 1, 2, 3, 4]).unwrap();
+        let oc = ordered_classes(&bc);
+        let sizes: Vec<usize> = oc.classes.iter().map(|c| c.len()).collect();
+        assert_eq!(sizes, vec![1, 2, 2, 2, 2]);
+        assert_eq!(oc.ell, 3);
+        assert_eq!(oc.classes[0].nodes, vec![2]);
+    }
+
+    #[test]
     fn gcd_of_sizes_matches_paper_examples() {
         // C6 with antipodal agents: classes {0,3} and the 4 white nodes
         // {1,2,4,5} → gcd(2, 4) = 2 → election impossible.
@@ -288,19 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_path_matches_cold_on_large_cycle() {
-        // n >= INCREMENTAL_MIN_N routes ordered_classes through the
-        // hint chain; every class form must equal a fresh per-root cold
-        // canonicalization.
+    fn orbit_classes_match_surrounding_forms_on_large_cycle() {
+        // Past the sizes the proptests reach: every class must still be
+        // one surrounding-form class of Definition 3.1.
         let g = families::cycle(34).unwrap();
         let bc = Bicolored::new(g, &[0, 17]).unwrap();
-        assert!(bc.n() >= INCREMENTAL_MIN_N);
         let oc = ordered_classes(&bc);
-        for c in &oc.classes {
-            for &v in &c.nodes {
-                assert_eq!(canonicalize(&surrounding(&bc, v)).form, c.form);
-            }
-        }
+        assert_eq!(partition(&oc), surrounding_form_partition(&bc));
         assert_eq!(oc.gcd_of_sizes(), 2, "antipodal homes stay unsolvable");
     }
 

@@ -26,9 +26,10 @@ use qelect::solvability::elect_succeeds;
 use qelect_agentsim::{
     AgentOutcome, ElectionRun, FaultAction, FaultEvent, Interrupt, RecoveryPolicy,
 };
-use qelect_graph::cache::{self, encode_bicolored, ShardedCache};
-use qelect_graph::surrounding::{ordered_classes, OrderedClasses};
-use qelect_graph::{families, Bicolored};
+use qelect_graph::cache::{self, encode_digraph, ShardedCache};
+use qelect_graph::canon::{canonicalize, CanonResult};
+use qelect_graph::surrounding::{classes_from_canon, ordered_classes};
+use qelect_graph::{families, Bicolored, ColoredDigraph};
 
 /// Everything two identical runs must share, formatted for assert_eq
 /// diffs (the shape `tests/integration_faults.rs` pins for replays,
@@ -292,15 +293,6 @@ fn cache_state_never_perturbs_the_differential() {
     assert_eq!(fingerprint(&cold.report), fingerprint(&uncached.report));
 }
 
-fn classes_shape(oc: &OrderedClasses) -> String {
-    let classes: Vec<String> = oc
-        .classes
-        .iter()
-        .map(|c| format!("{:?}b{}", c.nodes, c.black))
-        .collect();
-    format!("ell={} {}", oc.ell, classes.join(";"))
-}
-
 #[test]
 fn forced_collision_cache_paths_stay_exact() {
     // Force every key onto one fingerprint in a capacity-1 shard: each
@@ -313,14 +305,11 @@ fn forced_collision_cache_paths_stay_exact() {
         0
     }
     let instances = suite();
-    let forced: ShardedCache<OrderedClasses> = ShardedCache::with_fingerprinter(1, 1, constant);
+    let forced: ShardedCache<CanonResult> = ShardedCache::with_fingerprinter(1, 1, constant);
     for (label, bc) in &instances {
-        let got = forced.get_or_insert_with(encode_bicolored(bc), || ordered_classes(bc));
-        assert_eq!(
-            classes_shape(&got),
-            classes_shape(&ordered_classes(bc)),
-            "{label}"
-        );
+        let d = ColoredDigraph::from_bicolored(bc);
+        let got = forced.get_or_insert_with(encode_digraph(&d), || canonicalize(&d));
+        assert_eq!(classes_from_canon(bc, &got), ordered_classes(bc), "{label}");
     }
     let stats = forced.stats();
     assert_eq!(stats.lookups(), instances.len() as u64);

@@ -10,14 +10,19 @@
 //! * **total order** — comparison is total, antisymmetric and
 //!   transitive, and equal words (at equal size) certify isomorphy;
 //! * **sound automorphisms** — every generator the search harvests, on
-//!   every path (frozen oracle, pruned kernel, hinted replay), is an
-//!   actual automorphism and preserves the orbit partition.
+//!   every path (frozen oracle, pruned kernel), is an actual
+//!   automorphism and preserves the orbit partition;
+//! * **class order invariance** — COMPUTE & ORDER's class order (black
+//!   first, then size, then smallest canonical position) is a function
+//!   of the isomorphism class: relabeling nodes and ports maps class
+//!   `i` onto class `i` of the relabeled instance.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 use qelect_graph::canon::{self, are_isomorphic, CanonResult};
-use qelect_graph::{families, labeling, oracle, Bicolored, ColoredDigraph};
+use qelect_graph::surrounding::ordered_classes;
+use qelect_graph::{families, labeling, oracle, Bicolored, ColoredDigraph, GraphBuilder};
 
 /// A random connected instance (same idiom as `properties_cross_crate`).
 fn instance_strategy() -> impl Strategy<Value = Bicolored> {
@@ -105,7 +110,7 @@ proptest! {
     }
 
     /// Port relabelings never enter the plain bi-colored digraph, so the
-    /// word — and with it every class-cache key — is unchanged.
+    /// word is unchanged.
     #[test]
     fn word_is_invariant_under_port_relabeling(
         bc in instance_strategy(),
@@ -162,11 +167,11 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs three full searches plus a traced replay.
+    // Each case runs two full searches.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Harvested generators are sound on every search path: the frozen
-    /// oracle, the pruned kernel, and the hinted replay.
+    /// oracle and the pruned kernel.
     #[test]
     fn generators_are_automorphisms_on_every_search_path(bc in instance_strategy()) {
         // The port-colored digraph has the richest arc coloring, hence
@@ -174,18 +179,48 @@ proptest! {
         let d = ColoredDigraph::from_port_labeled(&bc);
         let pruned = canon::canonicalize(&d);
         let frozen = oracle::canonicalize(&d);
-        let (traced, hint) = canon::canonicalize_traced(&d);
-        let hinted = canon::canonicalize_with_hint(&d, &hint);
-        for (label, res) in [
-            ("pruned kernel", &pruned),
-            ("frozen oracle", &frozen),
-            ("traced", &traced),
-            ("hinted replay", &hinted),
-        ] {
+        for (label, res) in [("pruned kernel", &pruned), ("frozen oracle", &frozen)] {
             assert_sound_generators(label, &d, res)?;
         }
         prop_assert_eq!(&pruned.form, &frozen.form);
-        prop_assert_eq!(&traced.form, &frozen.form);
-        prop_assert_eq!(&hinted.form, &frozen.form);
+    }
+}
+
+/// `bc` with its nodes renamed by `perm` (`old → new`), ports carried
+/// along, then every port relabeled by `labeling::scramble`.
+fn relabeled(bc: &Bicolored, perm: &[usize], seed: u64) -> Bicolored {
+    let g = bc.graph();
+    let mut b = GraphBuilder::new(g.n());
+    for e in g.edges() {
+        b.add_edge_with_ports(perm[e.u], perm[e.v], e.pu, e.pv)
+            .unwrap();
+    }
+    let scrambled = labeling::scramble(&b.finish().unwrap(), seed).unwrap();
+    let homes: Vec<usize> = bc.homebases().iter().map(|&v| perm[v]).collect();
+    Bicolored::new(scrambled, &homes).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Class `i` of a node- and port-relabeled instance is the image of
+    /// class `i`: every agent, whatever map it drew, orders the classes
+    /// the same way.
+    #[test]
+    fn class_order_is_invariant_under_node_and_port_relabeling(
+        bc in instance_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let perm = random_perm(bc.n(), seed);
+        let oc = ordered_classes(&bc);
+        let moved = ordered_classes(&relabeled(&bc, &perm, seed ^ 0x5EED));
+        prop_assert_eq!(moved.ell, oc.ell);
+        prop_assert_eq!(moved.k(), oc.k());
+        for (i, (c, m)) in oc.classes.iter().zip(&moved.classes).enumerate() {
+            let mut image: Vec<usize> = c.nodes.iter().map(|&v| perm[v]).collect();
+            image.sort_unstable();
+            prop_assert_eq!(&m.nodes, &image, "class {}", i);
+            prop_assert_eq!(m.black, c.black, "class {}", i);
+        }
     }
 }
