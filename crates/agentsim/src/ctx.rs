@@ -1,12 +1,12 @@
 //! The agent's view of the world: the [`MobileCtx`] trait.
 //!
-//! Protocol code is written once, generically over `MobileCtx`, and runs
-//! unchanged on the deterministic gated engine and on the free-running
-//! parallel engine. The trait exposes exactly the capabilities the
-//! paper's model grants an agent at a node: its own color, the local
-//! degree, the port it entered through, the whiteboard (read or atomic
-//! read-modify-write under mutual exclusion), moving through a port, and
-//! waiting for the board to change.
+//! Protocol code is written once, generically over [`MobileCtxAsync`],
+//! and runs unchanged on the gated engine (through the blocking
+//! `MobileCtx`) and on the sim engine. The traits expose exactly the
+//! capabilities the paper's model grants an agent at a node: its own
+//! color, the local degree, the port it entered through, the whiteboard
+//! (read or atomic read-modify-write under mutual exclusion), moving
+//! through a port, and waiting for the board to change.
 
 use crate::color::Color;
 use crate::sign::Sign;
@@ -41,7 +41,8 @@ pub enum Interrupt {
     /// The global step budget was exhausted (the runtime's livelock
     /// detector for impossibility experiments).
     StepLimit,
-    /// The run was cancelled (watchdog or explicit stop).
+    /// The run was cancelled (the engine stopped it, e.g. after an
+    /// agent panicked).
     Cancelled,
     /// The agent was crashed by an injected fault
     /// (see [`crate::fault::FaultPlan`]). The engine catches this,
@@ -160,8 +161,8 @@ pub trait MobileCtx {
 /// `move_via`, `wait_until`) expressed as futures.
 ///
 /// Protocol code is written **once** against this trait (see
-/// [`crate::run::Protocol::run_async`]). On the thread-per-agent engines
-/// the futures resolve immediately — [`SyncCtx`] adapts any [`MobileCtx`]
+/// [`crate::run::Protocol::run_async`]). On the thread-per-agent gated
+/// engine the futures resolve immediately — [`SyncCtx`] adapts any [`MobileCtx`]
 /// by delegating to its blocking primitives and [`poll_now`] drives the
 /// resulting always-ready future to completion synchronously. On the
 /// single-threaded discrete-event engine ([`crate::sim`]) the futures
@@ -231,7 +232,7 @@ pub trait MobileCtxAsync {
 /// Adapts any blocking [`MobileCtx`] into a [`MobileCtxAsync`] whose
 /// futures resolve on the first poll.
 ///
-/// This is how the thread-per-agent engines execute async protocol
+/// This is how the thread-per-agent gated engine executes async protocol
 /// bodies without an executor: every primitive blocks inside the poll
 /// (exactly as it did pre-async), so the future produced by
 /// `run_async(&mut SyncCtx(ctx))` is always `Ready` and [`poll_now`]
@@ -297,7 +298,7 @@ impl<C: MobileCtx> MobileCtxAsync for SyncCtx<'_, C> {
 
 /// Complete a future that never suspends, synchronously.
 ///
-/// This is the degenerate "executor" behind the blocking engines: a
+/// This is the degenerate "executor" behind the gated engine: a
 /// protocol body run against [`SyncCtx`] only awaits immediately-ready
 /// futures, so a single poll drives it to completion. Panics if the
 /// future returns `Pending` — which can only happen if protocol code

@@ -392,8 +392,7 @@ pub struct ExploreSession<'a> {
 
 impl<'a> ExploreSession<'a> {
     /// A session for a registry protocol: `entry` must be explorable and
-    /// support `cfg.engine`, which must be deterministic (gated or sim).
-    /// The gated slice of `cfg` (seed, policy, step budget, scrambling)
+    /// support `cfg.engine`. The engine slice of `cfg` (seed, policy, step budget, scrambling)
     /// configures every run of the session.
     pub fn from_entry(
         entry: &'static ProtocolEntry,
@@ -406,11 +405,6 @@ impl<'a> ExploreSession<'a> {
                 entry.id
             )
         })?;
-        if cfg.engine == Engine::Free {
-            return Err(
-                "exploration needs a deterministic engine: use the gated or sim engine".into(),
-            );
-        }
         if !entry.supports(cfg.engine) {
             return Err(format!(
                 "protocol '{}' does not support engine '{}'",

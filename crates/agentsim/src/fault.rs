@@ -5,10 +5,9 @@
 //! primitive operations (moves, board reads, board read-modify-writes,
 //! and wait entries) with a monotone per-agent counter, and a
 //! [`FaultEvent`] fires when that counter reaches the event's `at_op`.
-//! The counter advances identically under the gated and the
-//! free-running engine — it depends only on the agent's own program
-//! order, never on the interleaving — so one plan addresses the same
-//! boundary in both engines, and replaying a plan under a recorded
+//! The counter depends only on the agent's own program order, never on
+//! the interleaving, so one plan addresses the same boundary under every
+//! schedule and on both engines, and replaying a plan under a recorded
 //! schedule reproduces the run bit-for-bit.
 //!
 //! The fault model is the classical *crash with persistent whiteboards*:
@@ -37,9 +36,9 @@ pub enum FaultAction {
         /// Extra stall ticks before the restart re-enters the protocol.
         restart_after: u64,
     },
-    /// Stall the agent for `ticks` scheduler grants (gated) or charged
-    /// ops (freerun) before the addressed operation proceeds — the
-    /// "delayed pending move" of the fault model.
+    /// Stall the agent for `ticks` scheduler grants before the addressed
+    /// operation proceeds — the "delayed pending move" of the fault
+    /// model.
     Delay {
         /// Stall length in engine ticks.
         ticks: u64,

@@ -9,175 +9,33 @@
 //! which is what lets the experiment suite treat the scheduler as the
 //! paper's asynchrony adversary and replay counterexamples.
 //!
-//! The engine detects **deadlocks** (all live agents waiting on unchanged
-//! whiteboards) and enforces a **step budget** (the livelock detector
-//! used by the impossibility demonstrations), interrupting every agent
-//! with an explicit [`Interrupt`].
+//! The world, the primitives, the grant decision (ready set, deadlock,
+//! step budget) and the report are the scheduler kernel's, shared with
+//! [`crate::sim`]. This module is only the thread handoff: a request
+//! channel to the scheduler, one grant channel per agent, and the world
+//! behind one lock that only the granted agent touches between grants.
 
-use crate::color::{Color, ColorRegistry};
-use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtx};
-use crate::fault::{FaultAction, FaultClock, FaultPlan, FaultStats, RecoveryPolicy};
-use crate::metrics::{AgentMetrics, Checkpoint, Metrics, SpanTracker};
+use crate::color::Color;
+use crate::ctx::{poll_now, AgentOutcome, Interrupt, LocalPort, MobileCtx, MobileCtxAsync};
+use crate::fault::FaultPlan;
+use crate::kernel::{drive, Agent, Grants, Link, Park, World};
+pub use crate::kernel::{RunConfig, RunReport};
 use crate::run::RunError;
-use crate::sched::{Policy, Scheduler};
+use crate::sched::Scheduler;
 use crate::sign::{Sign, SignKind};
-use crate::trace::{sign_kind_code, PrimOp, Trace, TraceEvent};
 use crate::whiteboard::Whiteboard;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use qelect_graph::{Bicolored, Graph, Port};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
+use qelect_graph::Bicolored;
+use std::future::Future;
 use std::sync::Arc;
 
-/// Configuration of a gated run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Master seed: colors, port scrambles, and the random policy derive
-    /// from it.
-    pub seed: u64,
-    /// Scheduling policy.
-    pub policy: Policy,
-    /// Global step budget (scheduler grants). Exhaustion interrupts all
-    /// agents with [`Interrupt::StepLimit`].
-    pub max_steps: u64,
-    /// Whether each agent sees its own scrambled local port numbering
-    /// (the qualitative model's "private encodings"; disable only for
-    /// debugging).
-    pub scramble_ports: bool,
-    /// Record the grant sequence (which agent ran at each scheduler
-    /// step) into [`RunReport::trace`], plus the per-primitive event log
-    /// into [`RunReport::events`] — the replayable witness of a
-    /// deterministic execution.
-    pub record_trace: bool,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            seed: 0,
-            policy: Policy::Random,
-            max_steps: 5_000_000,
-            scramble_ports: true,
-            record_trace: false,
-        }
-    }
-}
-
-/// Result of a gated run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Terminal state per agent (indexed like the home-base list).
-    pub outcomes: Vec<AgentOutcome>,
-    /// Index of the (unique) leader, if exactly one agent won.
-    pub leader: Option<usize>,
-    /// Colors the agents carried (for validating announcements).
-    pub colors: Vec<Color>,
-    /// Metrics.
-    pub metrics: Metrics,
-    /// The interrupt that ended the run, if any.
-    pub interrupted: Option<Interrupt>,
-    /// The scheduler policy name.
-    pub policy: &'static str,
-    /// The grant sequence (agent index per scheduler step), recorded
-    /// only when [`RunConfig::record_trace`] is set. Two runs with the
-    /// same `(instance, protocol, policy, seed)` produce identical
-    /// traces — the engine's determinism contract.
-    pub trace: Vec<usize>,
-    /// Per-primitive event log (what each grant was spent on), recorded
-    /// only when [`RunConfig::record_trace`] is set.
-    pub events: Vec<TraceEvent>,
-}
-
-impl RunReport {
-    /// Whether the run elected exactly one leader and every other agent
-    /// was defeated.
-    pub fn clean_election(&self) -> bool {
-        let leaders = self
-            .outcomes
-            .iter()
-            .filter(|o| **o == AgentOutcome::Leader)
-            .count();
-        leaders == 1
-            && self
-                .outcomes
-                .iter()
-                .all(|o| matches!(o, AgentOutcome::Leader | AgentOutcome::Defeated))
-    }
-
-    /// Whether every agent unanimously reported the instance unsolvable.
-    pub fn unanimous_unsolvable(&self) -> bool {
-        self.outcomes.iter().all(|o| *o == AgentOutcome::Unsolvable)
-    }
-
-    /// Package the recorded schedule and events as a [`Trace`] (the run
-    /// must have been made with [`RunConfig::record_trace`] set for the
-    /// trace to be non-trivial).
-    pub fn to_trace(&self, bc: &Bicolored, seed: u64, label: &str) -> Trace {
-        Trace {
-            label: label.to_string(),
-            seed,
-            policy: self.policy.to_string(),
-            agents: self.outcomes.len(),
-            nodes: bc.n(),
-            schedule: self.trace.clone(),
-            events: self.events.clone(),
-        }
-    }
-}
-
-struct Shared {
-    graph: Graph,
-    boards: Vec<Mutex<Whiteboard>>,
-    metrics: Vec<AgentMetrics>,
-    trackers: Vec<SpanTracker>,
-    checkpoints: Mutex<Vec<Checkpoint>>,
-    port_seed: u64,
-    scramble_ports: bool,
-    /// Event log, appended by whichever agent holds the grant. Only one
-    /// agent runs at a time, so the order is the deterministic grant
-    /// order; the mutex only covers the cross-thread handoff.
-    events: Mutex<Vec<TraceEvent>>,
-    record_events: bool,
-    /// Fault-injection accumulators (all zero on crash-free runs).
-    fault_stats: FaultStats,
-    /// Whether the run's plan contains crash events (what
-    /// [`MobileCtx::crash_faults_armed`] reports to protocols).
-    faults_armed: bool,
-    /// Panic payloads caught at the agent-program boundary, surfaced as
-    /// [`RunError::AgentPanicked`] once the run winds down.
-    panics: Mutex<Vec<(usize, String)>>,
-}
-
-impl Shared {
-    /// The agent-specific local-port → symbol mapping at a node.
-    fn port_map(&self, agent: usize, node: usize) -> Vec<Port> {
-        let syms: Vec<Port> = self.graph.ports_at(node);
-        if self.scramble_ports {
-            crate::shuffle::scrambled_ports(self.port_seed, agent, node, syms)
-        } else {
-            syms
-        }
-    }
-}
-
+/// An agent thread's report to the scheduler thread.
 enum Msg {
-    /// Agent requests to perform one primitive.
-    Op { agent: usize },
-    /// Agent waits for the board at `node` to move past `seen`.
-    Wait {
-        agent: usize,
-        node: usize,
-        seen: Option<u64>,
-    },
-    /// Agent finished.
+    /// The agent parked at a gate.
+    Park { agent: usize, at: Park },
+    /// The agent finished.
     Finished { agent: usize, outcome: AgentOutcome },
-}
-
-enum Grant {
-    /// Proceed; carries the grant's tick number for event records.
-    Go(u64),
-    Abort(Interrupt),
 }
 
 /// How many `try_recv` + `yield_now` rounds [`recv_spin`] attempts
@@ -213,299 +71,86 @@ fn recv_spin<T>(rx: &Receiver<T>) -> Result<T, crossbeam::channel::RecvError> {
     rx.recv()
 }
 
-/// Best-effort extraction of a caught panic's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The concrete [`MobileCtx`] of the gated engine.
-pub struct GatedCtx {
-    shared: Arc<Shared>,
-    id: usize,
-    color: Color,
-    node: usize,
-    home: usize,
-    entry: Option<LocalPort>,
+/// An agent thread's end of the handoff.
+struct Threads {
+    world: Arc<Mutex<World>>,
     req_tx: Sender<Msg>,
-    grant_rx: Receiver<Grant>,
-    faults: FaultClock,
-    recovery: RecoveryPolicy,
+    grant_rx: Receiver<Result<u64, Interrupt>>,
 }
 
-impl GatedCtx {
-    /// Park at the gate; on grant, returns the tick number.
-    fn gate_op(&mut self) -> Result<u64, Interrupt> {
-        self.req_tx
-            .send(Msg::Op { agent: self.id })
-            .map_err(|_| Interrupt::Cancelled)?;
-        match recv_spin(&self.grant_rx) {
-            Ok(Grant::Go(tick)) => Ok(tick),
-            Ok(Grant::Abort(i)) => Err(i),
+impl Link for Threads {
+    fn world<R>(&self, f: impl FnOnce(&mut World) -> R) -> R {
+        f(&mut self.world.lock())
+    }
+
+    /// Blocks until the scheduler answers, so the returned future is
+    /// always ready. A closed channel means the run is over: cancelled.
+    fn park(&mut self, agent: usize, at: Park) -> impl Future<Output = Result<u64, Interrupt>> {
+        let verdict = match self.req_tx.send(Msg::Park { agent, at }) {
+            Ok(()) => recv_spin(&self.grant_rx).unwrap_or(Err(Interrupt::Cancelled)),
             Err(_) => Err(Interrupt::Cancelled),
-        }
+        };
+        std::future::ready(verdict)
     }
+}
 
-    fn count_access(&self) {
-        self.shared.metrics[self.id]
-            .accesses
-            .fetch_add(1, Ordering::Relaxed);
-    }
+/// The concrete [`MobileCtx`] of the gated engine: the kernel's agent
+/// primitives, each driven to completion inside one poll.
+pub struct GatedCtx(Agent<Threads>);
 
-    fn record(&self, tick: u64, op: PrimOp) {
-        if self.shared.record_events {
-            self.shared.events.lock().push(TraceEvent {
-                tick,
-                agent: self.id,
-                op,
-            });
-        }
-    }
-
-    /// The whiteboard-access boundary hook: advance this agent's
-    /// operation counter and apply any fault due here. Runs *before* the
-    /// gate request, so a crash loses the pending operation without
-    /// consuming a scheduler grant; delays consume extra grants (visible
-    /// stall ticks in the recorded trace).
-    fn fault_gate(&mut self) -> Result<(), Interrupt> {
-        self.faults.advance();
-        while let Some(action) = self.faults.take_due() {
-            match action {
-                FaultAction::Delay { ticks } => {
-                    self.shared
-                        .fault_stats
-                        .delay_ticks
-                        .fetch_add(ticks, Ordering::Relaxed);
-                    for _ in 0..ticks {
-                        let tick = self.gate_op()?;
-                        self.record(
-                            tick,
-                            PrimOp::Wait {
-                                node: self.node,
-                                woke: false,
-                            },
-                        );
-                    }
-                }
-                FaultAction::Crash { restart_after } => {
-                    self.faults.note_crash(restart_after);
-                    self.shared
-                        .fault_stats
-                        .crashes
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .fault_stats
-                        .lost_ops
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(Interrupt::Crashed);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Prepare the context for a post-crash restart: seal the spans the
-    /// crash tore through, reset volatile state to the home-base, bump
-    /// the incarnation, and stall for the crash's `restart_after` plus
-    /// the recovery policy's bounded exponential backoff (the ticks
-    /// model re-acquiring board access after coming back up). Fails with
-    /// [`Interrupt::Crashed`] when the restart budget is exhausted —
-    /// the agent then terminates crashed.
-    fn begin_restart(&mut self) -> Result<(), Interrupt> {
-        let incarnation = self.faults.incarnation() + 1;
-        if incarnation > self.recovery.max_restarts {
-            self.shared
-                .fault_stats
-                .aborted
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(Interrupt::Crashed);
-        }
-        self.shared.trackers[self.id].force_close_all(
-            self.shared.metrics[self.id].snapshot(),
-            Some(qelect_graph::cache::global().stats()),
-        );
-        self.faults.restart();
-        self.shared
-            .fault_stats
-            .restarts
-            .fetch_add(1, Ordering::Relaxed);
-        self.node = self.home;
-        self.entry = None;
-        let stall = self.faults.take_restart_stall() + self.recovery.backoff(incarnation);
-        self.shared
-            .fault_stats
-            .backoff_ticks
-            .fetch_add(stall, Ordering::Relaxed);
-        for _ in 0..stall {
-            let tick = self.gate_op()?;
-            self.record(
-                tick,
-                PrimOp::Wait {
-                    node: self.node,
-                    woke: false,
-                },
-            );
-        }
-        Ok(())
+impl AsMut<Agent<Threads>> for GatedCtx {
+    fn as_mut(&mut self) -> &mut Agent<Threads> {
+        &mut self.0
     }
 }
 
 impl MobileCtx for GatedCtx {
     fn color(&self) -> Color {
-        self.color
+        self.0.color()
     }
 
     fn degree(&mut self) -> usize {
-        self.shared.graph.degree(self.node)
+        self.0.degree()
     }
 
     fn entry(&self) -> Option<LocalPort> {
-        self.entry
+        self.0.entry()
     }
 
     fn read_board(&mut self) -> Result<Vec<Sign>, Interrupt> {
-        self.fault_gate()?;
-        let tick = self.gate_op()?;
-        self.count_access();
-        let board = self.shared.boards[self.node].lock();
-        self.record(tick, PrimOp::Read { node: self.node });
-        Ok(board.signs().to_vec())
+        poll_now(self.0.read_board())
     }
 
     fn with_board<R>(&mut self, f: impl FnOnce(&mut Whiteboard) -> R) -> Result<R, Interrupt> {
-        self.fault_gate()?;
-        let tick = self.gate_op()?;
-        self.count_access();
-        let mut board = self.shared.boards[self.node].lock();
-        let before = board.signs().len();
-        let result = f(&mut board);
-        if self.shared.record_events {
-            // Signs appended during the access (erasures shorten the
-            // board instead; they leave `posted` empty).
-            let posted: Vec<u32> = board
-                .signs()
-                .get(before..)
-                .unwrap_or(&[])
-                .iter()
-                .map(|s| sign_kind_code(s.kind))
-                .collect();
-            self.record(
-                tick,
-                PrimOp::Write {
-                    node: self.node,
-                    posted,
-                },
-            );
-        }
-        Ok(result)
+        poll_now(self.0.with_board(f))
     }
 
     fn move_via(&mut self, port: LocalPort) -> Result<(), Interrupt> {
-        self.fault_gate()?;
-        let tick = self.gate_op()?;
-        let from = self.node;
-        let map = self.shared.port_map(self.id, self.node);
-        let sym = *map
-            .get(port.0 as usize)
-            .unwrap_or_else(|| panic!("agent {} used invalid local port {port}", self.id));
-        let (dest, entry_sym) = self
-            .shared
-            .graph
-            .move_along(self.node, sym)
-            .expect("port map is consistent with the graph");
-        // Translate the arrival symbol into the agent's local numbering
-        // at the destination.
-        let dest_map = self.shared.port_map(self.id, dest);
-        let entry_local = dest_map
-            .iter()
-            .position(|&p| p == entry_sym)
-            .expect("entry symbol present at destination");
-        self.node = dest;
-        self.entry = Some(LocalPort(entry_local as u32));
-        self.shared.metrics[self.id]
-            .moves
-            .fetch_add(1, Ordering::Relaxed);
-        self.record(tick, PrimOp::Move { from, to: dest });
-        Ok(())
+        poll_now(self.0.move_via(port))
     }
 
     fn wait_until(&mut self, pred: impl Fn(&Whiteboard) -> bool) -> Result<(), Interrupt> {
-        // One boundary per wait *entry*: the re-check cadence below is
-        // engine-dependent, so counting it would break the cross-engine
-        // addressability of fault plans.
-        self.fault_gate()?;
-        let mut seen: Option<u64> = None;
-        loop {
-            self.req_tx
-                .send(Msg::Wait {
-                    agent: self.id,
-                    node: self.node,
-                    seen,
-                })
-                .map_err(|_| Interrupt::Cancelled)?;
-            match recv_spin(&self.grant_rx) {
-                Ok(Grant::Go(tick)) => {
-                    self.count_access();
-                    let board = self.shared.boards[self.node].lock();
-                    let woke = pred(&board);
-                    self.record(
-                        tick,
-                        PrimOp::Wait {
-                            node: self.node,
-                            woke,
-                        },
-                    );
-                    if woke {
-                        self.shared.metrics[self.id]
-                            .waits
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                    seen = Some(board.version());
-                }
-                Ok(Grant::Abort(i)) => return Err(i),
-                Err(_) => return Err(Interrupt::Cancelled),
-            }
-        }
+        poll_now(self.0.wait_until(pred))
     }
 
     fn checkpoint(&mut self, label: &str) {
-        let (moves, accesses, _) = self.shared.metrics[self.id].snapshot();
-        self.shared.checkpoints.lock().push(Checkpoint {
-            label: label.to_string(),
-            agent: self.id,
-            moves,
-            accesses,
-        });
+        self.0.checkpoint(label)
     }
 
     fn span_open(&mut self, name: &str) {
-        self.shared.trackers[self.id].open(
-            name,
-            self.shared.metrics[self.id].snapshot(),
-            Some(qelect_graph::cache::global().stats()),
-        );
+        self.0.span_open(name)
     }
 
     fn span_close(&mut self, name: &str) {
-        self.shared.trackers[self.id].close(
-            name,
-            self.shared.metrics[self.id].snapshot(),
-            Some(qelect_graph::cache::global().stats()),
-        );
+        self.0.span_close(name)
     }
 
     fn incarnation(&self) -> u64 {
-        self.faults.incarnation()
+        self.0.incarnation()
     }
 
     fn crash_faults_armed(&self) -> bool {
-        self.shared.faults_armed
+        self.0.crash_faults_armed()
     }
 }
 
@@ -551,18 +196,6 @@ pub fn run_gated_staggered(
     run_gated_faulty(bc, cfg, &FaultPlan::none(), wrapped).expect("gated run failed")
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum St {
-    /// Thinking (not at a gate yet).
-    Running,
-    /// Parked at an op gate.
-    ReadyOp,
-    /// Parked waiting for a board change.
-    Waiting { node: usize, seen: Option<u64> },
-    /// Finished.
-    Done,
-}
-
 /// Run a gated election under a fault plan with a policy-built
 /// scheduler. One agent per home-base (agent `i` starts at the `i`-th
 /// home-base in sorted order, carrying a fresh color); home-bases are
@@ -590,7 +223,6 @@ pub fn try_run_gated_with(
     agents: Vec<GatedAgent>,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError> {
-    let cache_before = qelect_graph::cache::global().stats();
     let r = agents.len();
     assert_eq!(
         r,
@@ -599,117 +231,39 @@ pub fn try_run_gated_with(
         r,
         bc.r()
     );
-    let mut registry = ColorRegistry::new(cfg.seed);
-    let colors = registry.fresh_many(r);
-
-    let shared = Arc::new(Shared {
-        graph: bc.graph().clone(),
-        boards: (0..bc.n()).map(|_| Mutex::new(Whiteboard::new())).collect(),
-        metrics: (0..r).map(|_| AgentMetrics::default()).collect(),
-        trackers: (0..r).map(SpanTracker::new).collect(),
-        checkpoints: Mutex::new(Vec::new()),
-        port_seed: cfg.seed.wrapping_add(0x9047_5EED),
-        scramble_ports: cfg.scramble_ports,
-        events: Mutex::new(Vec::new()),
-        record_events: cfg.record_trace,
-        fault_stats: FaultStats::default(),
-        faults_armed: faults.has_crashes(),
-        panics: Mutex::new(Vec::new()),
-    });
-    // Pre-mark home-bases.
-    for (i, &hb) in bc.homebases().iter().enumerate() {
-        shared.boards[hb]
-            .lock()
-            .post(Sign::tag(colors[i], SignKind::HomeBase));
-    }
-
+    let world = Arc::new(Mutex::new(World::new(bc, &cfg)));
+    let mut grants = Grants::new(r, &cfg);
     let (req_tx, req_rx) = unbounded::<Msg>();
-    let mut grant_txs: Vec<Sender<Grant>> = Vec::with_capacity(r);
-    let mut outcomes: Vec<AgentOutcome> = vec![AgentOutcome::Interrupted(Interrupt::Cancelled); r];
-    let mut steps: u64 = 0;
-    let mut preemptions: u64 = 0;
-    let mut interrupted: Option<Interrupt> = None;
+    let mut grant_txs: Vec<Sender<Result<u64, Interrupt>>> = Vec::with_capacity(r);
     let mut run_error: Option<RunError> = None;
-    let mut trace: Vec<usize> = Vec::new();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(r);
         for (i, mut program) in agents.into_iter().enumerate() {
-            let (gtx, grx) = unbounded::<Grant>();
-            grant_txs.push(gtx);
-            let mut ctx = GatedCtx {
-                shared: Arc::clone(&shared),
-                id: i,
-                color: colors[i],
-                node: bc.homebases()[i],
-                home: bc.homebases()[i],
-                entry: None,
+            let (grant_tx, grant_rx) = unbounded();
+            grant_txs.push(grant_tx);
+            let link = Threads {
+                world: Arc::clone(&world),
                 req_tx: req_tx.clone(),
-                grant_rx: grx,
-                faults: FaultClock::new(faults, i),
-                recovery: faults.recovery,
+                grant_rx,
             };
+            let mut ctx = GatedCtx(world.lock().agent(i, link, faults));
             let tx = req_tx.clone();
             handles.push(scope.spawn(move || {
-                // Invoke-and-restart loop: a crash restarts the program
-                // from scratch (bounded by the recovery policy); a panic
-                // is caught so the scheduler always hears Finished and
-                // the run surfaces a typed error instead of hanging.
-                let outcome = loop {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                        Ok(Ok(o)) => break o,
-                        Ok(Err(Interrupt::Crashed)) => match ctx.begin_restart() {
-                            Ok(()) => continue,
-                            Err(int) => break AgentOutcome::Interrupted(int),
-                        },
-                        Ok(Err(int)) => break AgentOutcome::Interrupted(int),
-                        Err(payload) => {
-                            ctx.shared
-                                .panics
-                                .lock()
-                                .push((ctx.id, panic_message(payload.as_ref())));
-                            break AgentOutcome::Interrupted(Interrupt::Cancelled);
-                        }
-                    }
-                };
-                // Seal spans an interrupt (or a sloppy protocol) left
-                // open, so their work still reaches the breakdown.
-                ctx.shared.trackers[ctx.id].force_close_all(
-                    ctx.shared.metrics[ctx.id].snapshot(),
-                    Some(qelect_graph::cache::global().stats()),
-                );
-                let _ = tx.send(Msg::Finished {
-                    agent: ctx.id,
-                    outcome,
-                });
+                let outcome = poll_now(drive(&mut ctx, async |c: &mut GatedCtx| program(c)));
+                let _ = tx.send(Msg::Finished { agent: i, outcome });
             }));
         }
         drop(req_tx);
 
-        // ---- scheduler loop ----
-        let mut st: Vec<St> = vec![St::Running; r];
-        let mut live = r;
-        let mut aborting: Option<Interrupt> = None;
-        let mut last_pick: Option<usize> = None;
-
-        let apply =
-            |msg: Msg, st: &mut Vec<St>, outcomes: &mut Vec<AgentOutcome>, live: &mut usize| {
-                match msg {
-                    Msg::Op { agent } => st[agent] = St::ReadyOp,
-                    Msg::Wait { agent, node, seen } => st[agent] = St::Waiting { node, seen },
-                    Msg::Finished { agent, outcome } => {
-                        st[agent] = St::Done;
-                        outcomes[agent] = outcome;
-                        *live -= 1;
-                    }
-                }
-            };
-
-        'sched: while live > 0 {
-            // Ensure every live agent is parked (or done).
-            while st.contains(&St::Running) {
+        'sched: while grants.live() > 0 {
+            // Every live agent parks (or finishes) before the next
+            // decision; after a grant, the granted agent is the only
+            // one running, so the next message is its.
+            while grants.any_running() {
                 match recv_spin(&req_rx) {
-                    Ok(msg) => apply(msg, &mut st, &mut outcomes, &mut live),
+                    Ok(Msg::Park { agent, at }) => grants.park(agent, at),
+                    Ok(Msg::Finished { agent, outcome }) => grants.finish(agent, outcome),
                     Err(_) => {
                         // A live agent's thread died without reporting —
                         // unreachable given the panic guard, but typed.
@@ -720,81 +274,20 @@ pub fn try_run_gated_with(
                     }
                 }
             }
-            if live == 0 {
+            if grants.live() == 0 {
                 break;
             }
-
-            // If we are aborting, answer every parked agent with Abort.
-            if let Some(reason) = &aborting {
-                for (i, s) in st.iter_mut().enumerate() {
-                    match s {
-                        St::ReadyOp | St::Waiting { .. } => {
-                            *s = St::Running;
-                            let _ = grant_txs[i].send(Grant::Abort(reason.clone()));
-                        }
-                        _ => {}
-                    }
-                }
-                continue;
-            }
-
-            // Ready set: ops, plus waits whose board has changed.
-            let ready: Vec<usize> = (0..r)
-                .filter(|&i| match &st[i] {
-                    St::ReadyOp => true,
-                    St::Waiting { node, seen } => match seen {
-                        None => true,
-                        Some(v) => shared.boards[*node].lock().version() > *v,
-                    },
-                    _ => false,
-                })
-                .collect();
-
-            if ready.is_empty() {
-                // All live agents are waiting on unchanged boards.
-                aborting = Some(Interrupt::Deadlock);
-                interrupted = Some(Interrupt::Deadlock);
-                continue;
-            }
-
-            steps += 1;
-            if steps > cfg.max_steps {
-                aborting = Some(Interrupt::StepLimit);
-                interrupted = Some(Interrupt::StepLimit);
-                continue;
-            }
-
-            let pick = scheduler.pick(&ready, steps);
-            debug_assert!(ready.contains(&pick), "scheduler must pick a ready agent");
-            if let Some(prev) = last_pick {
-                // A switch away from a still-ready agent is a
-                // preemption — the quantity context-bounded exploration
-                // budgets. A switch forced by `prev` blocking is not.
-                if prev != pick && ready.contains(&prev) {
-                    preemptions += 1;
-                }
-            }
-            last_pick = Some(pick);
-            if cfg.record_trace {
-                trace.push(pick);
-            }
-            st[pick] = St::Running;
-            if grant_txs[pick].send(Grant::Go(steps)).is_err() {
-                run_error = Some(RunError::ChannelDisconnected {
-                    stage: "granting a parked agent",
-                });
-                break 'sched;
-            }
-            // Block until the granted agent parks again or finishes —
-            // everyone else is already parked, so the next message is its.
-            match recv_spin(&req_rx) {
-                Ok(msg) => apply(msg, &mut st, &mut outcomes, &mut live),
-                Err(_) => {
+            let verdict = grants.decide(&world.lock(), scheduler);
+            grants.deliver(verdict, |agent, verdict| {
+                let granted = verdict.is_ok();
+                if grant_txs[agent].send(verdict).is_err() && granted {
                     run_error = Some(RunError::ChannelDisconnected {
-                        stage: "awaiting granted agent's report",
+                        stage: "granting a parked agent",
                     });
-                    break 'sched;
                 }
+            });
+            if run_error.is_some() {
+                break;
             }
         }
 
@@ -811,54 +304,20 @@ pub fn try_run_gated_with(
         }
     });
 
-    let leader = {
-        let leaders: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| **o == AgentOutcome::Leader)
-            .map(|(i, _)| i)
-            .collect();
-        if leaders.len() == 1 {
-            Some(leaders[0])
-        } else {
-            None
-        }
-    };
-
-    if let Some((agent, message)) = shared.panics.lock().first().cloned() {
-        return Err(RunError::AgentPanicked { agent, message });
-    }
-    if let Some(e) = run_error {
-        return Err(e);
-    }
-
-    let metrics = Metrics {
-        per_agent: shared.metrics.iter().map(|m| m.snapshot()).collect(),
-        checkpoints: shared.checkpoints.lock().clone(),
-        steps,
-        preemptions,
-        canon_cache: Some(cache_before.delta(&qelect_graph::cache::global().stats())),
-        spans: shared.trackers.iter().flat_map(|t| t.take()).collect(),
-        faults: shared.fault_stats.snapshot(),
-    };
-
-    let events = std::mem::take(&mut *shared.events.lock());
-    Ok(RunReport {
-        outcomes,
-        leader,
-        colors,
-        metrics,
-        interrupted,
-        policy: scheduler.name(),
-        trace,
-        events,
-    })
+    let world = Arc::into_inner(world)
+        .expect("agent threads have joined")
+        .into_inner();
+    grants.report(world, scheduler.name(), run_error)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultAction;
+    use crate::sched::Policy;
     use qelect_graph::families;
+
+    crate::kernel::contract_tests!(crate::run::Engine::Gated);
 
     fn instance(n: usize, hbs: &[usize]) -> Bicolored {
         Bicolored::new(families::cycle(n).unwrap(), hbs).unwrap()
@@ -868,44 +327,6 @@ mod tests {
     /// the legacy `run_gated` shim for every test below).
     fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
         run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-    }
-
-    #[test]
-    fn single_agent_trivial_protocol() {
-        let bc = instance(5, &[2]);
-        let report = run_gated(
-            &bc,
-            RunConfig::default(),
-            vec![Box::new(|_ctx: &mut GatedCtx| Ok(AgentOutcome::Leader))],
-        );
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.leader, Some(0));
-        assert!(report.clean_election());
-    }
-
-    #[test]
-    fn homebase_signs_are_premarked() {
-        let bc = instance(5, &[0, 2]);
-        let mk = || -> GatedAgent {
-            Box::new(|ctx: &mut GatedCtx| {
-                let board = ctx.read_board()?;
-                let mine = board
-                    .iter()
-                    .any(|s| s.kind == SignKind::HomeBase && s.color == ctx.color());
-                Ok(if mine {
-                    AgentOutcome::Leader
-                } else {
-                    AgentOutcome::Defeated
-                })
-            })
-        };
-        let report = run_gated(&bc, RunConfig::default(), vec![mk(), mk()]);
-        // Both see their own home-base sign → both claim Leader.
-        assert_eq!(
-            report.outcomes,
-            vec![AgentOutcome::Leader, AgentOutcome::Leader]
-        );
-        assert_eq!(report.leader, None, "two leaders is not a clean election");
     }
 
     #[test]
@@ -1000,131 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_is_detected() {
-        let bc = instance(4, &[0, 2]);
-        let mk = || -> GatedAgent {
-            Box::new(|ctx: &mut GatedCtx| {
-                // Wait for a sign that nobody will ever write.
-                ctx.wait_until(|wb| wb.find_kind(SignKind::Leader).is_some())?;
-                Ok(AgentOutcome::Leader)
-            })
-        };
-        let report = run_gated(&bc, RunConfig::default(), vec![mk(), mk()]);
-        assert_eq!(report.interrupted, Some(Interrupt::Deadlock));
-        assert!(report
-            .outcomes
-            .iter()
-            .all(|o| *o == AgentOutcome::Interrupted(Interrupt::Deadlock)));
-    }
-
-    #[test]
-    fn step_limit_interrupts_livelock() {
-        let bc = instance(4, &[0]);
-        let report = run_gated(
-            &bc,
-            RunConfig {
-                max_steps: 100,
-                ..RunConfig::default()
-            },
-            vec![Box::new(|ctx: &mut GatedCtx| loop {
-                ctx.move_via(LocalPort(0))?;
-            })],
-        );
-        assert_eq!(report.interrupted, Some(Interrupt::StepLimit));
-    }
-
-    #[test]
-    fn wait_wakes_on_board_change() {
-        let bc = instance(3, &[0, 1]);
-        let waiter: GatedAgent = Box::new(|ctx: &mut GatedCtx| {
-            ctx.wait_until(|wb| wb.find_kind(SignKind::Custom(7)).is_some())?;
-            Ok(AgentOutcome::Defeated)
-        });
-        let walker: GatedAgent = Box::new(|ctx: &mut GatedCtx| {
-            // Walk around the cycle until finding the other agent's
-            // home-base (a HomeBase sign of a different color), then post
-            // Custom(7).
-            loop {
-                let board = ctx.read_board()?;
-                let other_home = board
-                    .iter()
-                    .any(|s| s.kind == SignKind::HomeBase && s.color != ctx.color());
-                if other_home {
-                    ctx.with_board(|wb| {
-                        wb.post(Sign::tag(Color::from_nonce(1), SignKind::Custom(7)))
-                    })?;
-                    return Ok(AgentOutcome::Leader);
-                }
-                let entry = ctx.entry();
-                let fwd = ctx
-                    .ports()
-                    .into_iter()
-                    .find(|&p| Some(p) != entry)
-                    .expect("degree 2");
-                ctx.move_via(fwd)?;
-            }
-        });
-        // Agent 0 (at node 0) waits; agent 1 (at node 1) walks & posts.
-        let report = run_gated(&bc, RunConfig::default(), vec![waiter, walker]);
-        assert!(report.clean_election());
-        assert!(report.metrics.total_waits() >= 1);
-    }
-
-    #[test]
-    fn deterministic_given_seed_and_policy() {
-        let bc = instance(6, &[0, 3]);
-        let mk = || -> GatedAgent {
-            Box::new(|ctx: &mut GatedCtx| {
-                for _ in 0..10 {
-                    ctx.move_via(LocalPort(0))?;
-                    ctx.with_board(|wb| {
-                        let c = Color::from_nonce(0);
-                        wb.post(Sign::tag(c, SignKind::Visited));
-                    })?;
-                }
-                Ok(AgentOutcome::Defeated)
-            })
-        };
-        let run = |seed| {
-            let cfg = RunConfig {
-                seed,
-                ..RunConfig::default()
-            };
-            let rep = run_gated(&bc, cfg, vec![mk(), mk()]);
-            (rep.metrics.per_agent.clone(), rep.metrics.steps)
-        };
-        assert_eq!(run(11), run(11));
-        // Different seeds may differ in step interleaving but totals of
-        // this fixed-work protocol are stable:
-        let (a, _) = run(11);
-        let (b, _) = run(12);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn scrambled_ports_differ_between_agents_but_are_stable() {
         let bc = instance(6, &[0, 3]);
-        let shared = Shared {
-            graph: bc.graph().clone(),
-            boards: Vec::new(),
-            metrics: Vec::new(),
-            trackers: Vec::new(),
-            checkpoints: Mutex::new(Vec::new()),
-            port_seed: 99,
-            scramble_ports: true,
-            events: Mutex::new(Vec::new()),
-            record_events: false,
-            fault_stats: FaultStats::default(),
-            faults_armed: false,
-            panics: Mutex::new(Vec::new()),
-        };
-        let m0 = shared.port_map(0, 2);
-        let m0_again = shared.port_map(0, 2);
-        assert_eq!(m0, m0_again, "stable per (agent, node)");
+        let world = World::new(&bc, &RunConfig::default());
+        let m0 = world.port_map(0, 2);
+        assert_eq!(m0, world.port_map(0, 2), "stable per (agent, node)");
         // Across many nodes, the two agents' scrambles must differ
         // somewhere (overwhelmingly likely with 6 binary choices).
-        let differs = (0..6).any(|v| shared.port_map(0, v) != shared.port_map(1, v));
-        assert!(differs);
+        assert!((0..6).any(|v| world.port_map(0, v) != world.port_map(1, v)));
     }
 
     #[test]
@@ -1161,46 +465,6 @@ mod tests {
             ..RunConfig::default()
         };
         assert!(run_gated(&bc, cfg, vec![mk(), mk()]).trace.is_empty());
-    }
-
-    #[test]
-    fn crash_restarts_at_home_with_volatile_state_lost() {
-        use crate::fault::{FaultEvent, RecoveryPolicy};
-        let bc = instance(6, &[0]);
-        // The program walks two hops, then posts a Visited sign wherever
-        // it stands. A crash at op 2 (the second move) loses that move;
-        // the restart re-runs from the home-base with entry() cleared.
-        let incarnations = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&incarnations);
-        let program: GatedAgent = Box::new(move |ctx: &mut GatedCtx| {
-            seen.lock().push((ctx.incarnation(), ctx.entry()));
-            ctx.move_via(LocalPort(0))?;
-            ctx.move_via(LocalPort(0))?;
-            ctx.with_board(|wb| wb.post(Sign::tag(Color::from_nonce(7), SignKind::Visited)))?;
-            Ok(AgentOutcome::Leader)
-        });
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                agent: 0,
-                at_op: 2,
-                action: FaultAction::Crash { restart_after: 1 },
-            }],
-            recovery: RecoveryPolicy::default(),
-        };
-        let report = run_gated_faulty(&bc, RunConfig::default(), &plan, vec![program]).unwrap();
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.metrics.faults.crashes, 1);
-        assert_eq!(report.metrics.faults.restarts, 1);
-        assert!(report.metrics.faults.backoff_ticks >= 1);
-        let seen = incarnations.lock().clone();
-        assert_eq!(
-            seen,
-            vec![(0, None), (1, None)],
-            "restart re-enters the program at home (entry cleared) with a bumped incarnation"
-        );
-        // The lost move means the restart walks the full two hops again:
-        // 1 (pre-crash) + 2 (restart) = 3 moves.
-        assert_eq!(report.metrics.total_moves(), 3);
     }
 
     #[test]

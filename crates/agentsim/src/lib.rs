@@ -21,23 +21,24 @@
 //!   replayable adversary. The synchronous-lockstep scheduler of the
 //!   paper's Section 1.3 impossibility argument is provided.
 //!
-//! Three execution engines run the *same* protocol code (written once
-//! against the [`ctx::MobileCtxAsync`] trait; [`ctx::SyncCtx`] adapts it
-//! to the blocking [`ctx::MobileCtx`] engines):
+//! Two deterministic execution engines run the *same* protocol code
+//! (written once against the [`ctx::MobileCtxAsync`] trait;
+//! [`ctx::SyncCtx`] adapts it to the blocking [`ctx::MobileCtx`]). Both
+//! sit on one scheduler kernel — the world, the primitives, the grant
+//! decision (ready set, deadlock, step budget) and the report — and
+//! differ only in how a parked agent waits for its grant:
 //!
-//! * [`gated`] — deterministic: agents live on OS threads but execute one
-//!   primitive at a time, in scheduler order; detects deadlocks and
-//!   enforces step budgets (so impossibility arguments terminate).
-//! * [`sim`] — deterministic and **single-threaded**: the same gate
-//!   semantics as a discrete-event simulation over virtual time
-//!   (byte-identical metrics, traces and fault addressing), with no
-//!   per-step thread handoffs. ELECT on a 10⁴-node cycle with three
-//!   agents runs end to end in about 0.45 s (`BENCH_canon.json`, a
-//!   2-core host); the step-light ring prober runs that cycle in
-//!   milliseconds.
-//! * [`freerun`] — fully parallel: agents run concurrently with
-//!   `parking_lot` mutexes and condvars; used by the throughput
-//!   benchmarks.
+//! * [`gated`] — agents live on OS threads but execute one primitive at
+//!   a time, in scheduler order, each blocking on a grant channel.
+//! * [`sim`] — **single-threaded**: agents are futures parked at gates,
+//!   a discrete-event simulation over virtual time with no per-step
+//!   thread handoffs. ELECT on a 10⁴-node cycle with three agents runs
+//!   end to end in about 0.45 s (`BENCH_canon.json`, a 2-core host); the
+//!   step-light ring prober runs that cycle in milliseconds.
+//!
+//! Both detect deadlocks and enforce step budgets (so impossibility
+//! arguments terminate), and both produce byte-identical metrics,
+//! traces and fault addressing.
 //!
 //! [`message_net`] implements the paper's Fig. 1 transformation: a
 //! mobile-agent protocol expressed as an explicit state machine
@@ -59,7 +60,7 @@
 //! use qelect_graph::{families, Bicolored};
 //!
 //! // A one-agent protocol: read the home whiteboard, claim leadership.
-//! // The one async body runs on all three engines.
+//! // The one async body runs on both engines.
 //! #[derive(Clone)]
 //! struct ClaimHome;
 //! impl Protocol for ClaimHome {
@@ -73,7 +74,7 @@
 //!     }
 //! }
 //! let bc = Bicolored::new(families::cycle(5).unwrap(), &[2]).unwrap();
-//! for engine in [Engine::Gated, Engine::Sim] {
+//! for engine in Engine::ALL {
 //!     let election = run(&bc, &RunConfig::new(0).engine(engine), &ClaimHome).unwrap();
 //!     assert_eq!(election.report.leader, Some(0));
 //! }
@@ -87,9 +88,9 @@ pub mod coverage;
 pub mod ctx;
 pub mod explore;
 pub mod fault;
-pub mod freerun;
 pub mod gated;
 pub mod json;
+mod kernel;
 pub mod message_net;
 pub mod metrics;
 pub mod registry;
@@ -120,6 +121,6 @@ pub use sched::{
     LockstepScheduler, RandomScheduler, ReplayScheduler, RoundRobinScheduler, Scheduler,
 };
 pub use sign::{Sign, SignKind};
-pub use sim::{run_sim_faulty, try_run_sim_with, SimCtx};
+pub use sim::{run_sim_faulty, try_run_sim_with};
 pub use trace::{Trace, TraceEvent};
 pub use whiteboard::Whiteboard;

@@ -2,7 +2,7 @@
 //!
 //! Theorem 3.1 bounds protocol ELECT by **O(r·|E|) moves and whiteboard
 //! accesses**; the experiment suite measures both. Counters are atomics
-//! so the free-running engine can update them concurrently.
+//! so observers on other threads can snapshot them while a run is live.
 //!
 //! Two layers of attribution sit on the raw counters:
 //!
@@ -55,7 +55,7 @@ impl AgentMetrics {
     /// the owning agent is still incrementing.
     ///
     /// The counters are monotone and only the owning agent increments
-    /// them, but the free-running engine snapshots from other threads,
+    /// them, but observers may snapshot from other threads,
     /// so three independent loads could observe a torn state that never
     /// existed (e.g. a `moves` value from before an increment paired
     /// with an `accesses` value from after a later one). The fix reads

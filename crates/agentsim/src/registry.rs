@@ -52,7 +52,7 @@ impl fmt::Display for ProtocolId {
 #[derive(Debug, Clone, Copy)]
 pub struct ProtocolCaps {
     /// Engines the protocol runs on. Protocols written over
-    /// [`MobileCtxAsync`] support all three; legacy gated-only drivers
+    /// [`MobileCtxAsync`] support both; legacy gated-only drivers
     /// list `[Engine::Gated]`.
     ///
     /// [`MobileCtxAsync`]: crate::MobileCtxAsync
@@ -88,8 +88,7 @@ pub type WitnessFn = fn(&Bicolored) -> Result<Trace, String>;
 pub struct ExploreSpec {
     /// Run one schedule: execute the protocol on the instance under the
     /// given scheduler. Must be a pure function of the grant sequence on
-    /// both deterministic engines ([`Engine::Gated`] and [`Engine::Sim`];
-    /// [`Engine::Free`] has no grant sequence and is never passed).
+    /// both engines ([`Engine::Gated`] and [`Engine::Sim`]).
     pub run: fn(
         &Bicolored,
         &gated::RunConfig,

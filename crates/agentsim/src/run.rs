@@ -1,16 +1,11 @@
 //! The unified front door for running a protocol: one [`RunConfig`]
 //! builder, one [`Engine`] choice, one [`ElectionRun`] result.
 //!
-//! Historically each way of running a protocol had its own entry point
-//! with its own config type — `gated::run_gated` (policy scheduling),
-//! `gated::run_gated_with` (replay / exploration), `freerun::run_free`
-//! (true parallelism) — and every caller (qelectctl, the sweep engine,
-//! the test suites) re-assembled the same plumbing by hand. [`run`]
-//! collapses them: describe the run declaratively with a [`RunConfig`],
-//! hand over anything implementing [`Protocol`], and get back an
-//! [`ElectionRun`] or a typed [`RunError`]. The old free functions are
-//! gone; every caller comes through this path (protocols with stable
-//! wire names resolve here via [`crate::registry`]).
+//! Describe the run declaratively with a [`RunConfig`], hand over
+//! anything implementing [`Protocol`], and [`run`] returns an
+//! [`ElectionRun`] or a typed [`RunError`]. Every caller comes through
+//! this path (protocols with stable wire names resolve here via
+//! [`crate::registry`]).
 //!
 //! Fault injection rides the same door: [`RunConfig::faults`] attaches a
 //! [`FaultPlan`], and the run's fault activity comes back in
@@ -18,43 +13,46 @@
 
 use crate::ctx::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
 use crate::fault::{FaultPlan, FaultSummary};
-use crate::freerun::{try_run_free, FreeAgent, FreeRunConfig};
-use crate::gated::{self, GatedAgent, RunReport};
-use crate::sched::{Policy, ReplayScheduler};
+use crate::gated::{self, RunReport};
+use crate::registry::protocol_agents;
+use crate::sched::{Policy, ReplayScheduler, Scheduler};
 use qelect_graph::Bicolored;
 use std::fmt;
-use std::time::Duration;
 
-/// Which execution engine carries the run.
+/// Which execution engine carries the run. Both are deterministic and
+/// run on one scheduler kernel, so they produce byte-identical reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The deterministic scheduler-gated engine (default): every
-    /// primitive passes through a grant gate, the run is a pure function
-    /// of `(instance, protocol, policy, seed, fault plan)`.
+    /// The scheduler-gated engine (default): one OS thread per agent,
+    /// every primitive passes through a grant gate, the run is a pure
+    /// function of `(instance, protocol, policy, seed, fault plan)`.
     Gated,
-    /// The free-running engine: one OS thread per agent, genuine
-    /// parallelism, schedule-dependent interleavings.
-    Free,
     /// The single-threaded discrete-event engine ([`crate::sim`]):
     /// agents are event-driven state machines over virtual time, no OS
-    /// threads, byte-identical to [`Engine::Gated`] on metrics, traces
-    /// and fault addressing — and orders of magnitude faster per step,
-    /// which makes 10⁴-node instances tier-1 test material.
+    /// threads — and orders of magnitude faster per step, which makes
+    /// 10⁴-node instances tier-1 test material.
     Sim,
 }
 
 impl Engine {
+    /// Every engine, in the order reports list them.
+    pub const ALL: [Engine; 2] = [Engine::Gated, Engine::Sim];
+
     /// Stable lowercase name (used in reports and CLI flags).
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Gated => "gated",
-            Engine::Free => "free",
             Engine::Sim => "sim",
         }
     }
+
+    /// The engine named `name` (the inverse of [`Engine::name`]).
+    pub fn parse(name: &str) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.name() == name)
+    }
 }
 
-/// A recorded grant schedule to replay (gated engine only).
+/// A recorded grant schedule to replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplaySpec {
     /// The grant sequence (agent index per scheduler step).
@@ -67,31 +65,25 @@ pub struct ReplaySpec {
 
 /// Declarative description of one run, consumed by [`run`].
 ///
-/// Build it fluently: `RunConfig::new(7).engine(Engine::Free).faults(plan)`.
-/// Defaults mirror the per-engine config defaults
-/// ([`gated::RunConfig`], [`FreeRunConfig`]).
+/// Build it fluently: `RunConfig::new(7).engine(Engine::Sim).faults(plan)`.
+/// Defaults mirror the engine config defaults ([`gated::RunConfig`]).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Master seed: colors, port scrambles, and the random policy.
     pub seed: u64,
     /// Which engine executes the run.
     pub engine: Engine,
-    /// Scheduling policy (gated engine; ignored by freerun).
+    /// Scheduling policy.
     pub policy: Policy,
-    /// Step budget (gated engine).
+    /// Step budget (scheduler grants).
     pub max_steps: u64,
-    /// Wall-clock watchdog (freerun engine).
-    pub timeout: Duration,
-    /// Operation budget (freerun engine).
-    pub max_ops: u64,
     /// Per-agent scrambled port numberings.
     pub scramble_ports: bool,
-    /// Record the grant schedule + per-primitive event log (gated).
+    /// Record the grant schedule + per-primitive event log.
     pub record_trace: bool,
     /// Faults to inject (empty plan = crash-free run).
     pub faults: FaultPlan,
-    /// Replay a recorded schedule instead of consulting `policy`
-    /// (gated engine only; ignored by freerun, which has no schedule).
+    /// Replay a recorded schedule instead of consulting `policy`.
     pub replay: Option<ReplaySpec>,
 }
 
@@ -105,14 +97,11 @@ impl RunConfig {
     /// A gated-engine config with the given seed and all defaults.
     pub fn new(seed: u64) -> RunConfig {
         let g = gated::RunConfig::default();
-        let f = FreeRunConfig::default();
         RunConfig {
             seed,
             engine: Engine::Gated,
             policy: g.policy,
             max_steps: g.max_steps,
-            timeout: f.timeout,
-            max_ops: f.max_ops,
             scramble_ports: g.scramble_ports,
             record_trace: false,
             faults: FaultPlan::none(),
@@ -126,27 +115,15 @@ impl RunConfig {
         self
     }
 
-    /// Select the gated scheduling policy.
+    /// Select the scheduling policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Set the gated step budget.
+    /// Set the step budget.
     pub fn max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Set the freerun wall-clock watchdog.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Set the freerun operation budget.
-    pub fn max_ops(mut self, max_ops: u64) -> Self {
-        self.max_ops = max_ops;
         self
     }
 
@@ -156,7 +133,7 @@ impl RunConfig {
         self
     }
 
-    /// Enable/disable trace recording (gated).
+    /// Enable/disable trace recording.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -168,13 +145,13 @@ impl RunConfig {
         self
     }
 
-    /// Replay a recorded grant schedule (gated).
+    /// Replay a recorded grant schedule.
     pub fn replay(mut self, schedule: Vec<usize>, strict: bool) -> Self {
         self.replay = Some(ReplaySpec { schedule, strict });
         self
     }
 
-    /// The gated-engine slice of this config.
+    /// The engine slice of this config.
     pub fn to_gated(&self) -> gated::RunConfig {
         gated::RunConfig {
             seed: self.seed,
@@ -184,16 +161,6 @@ impl RunConfig {
             record_trace: self.record_trace,
         }
     }
-
-    /// The freerun-engine slice of this config.
-    pub fn to_free(&self) -> FreeRunConfig {
-        FreeRunConfig {
-            seed: self.seed,
-            timeout: self.timeout,
-            max_ops: self.max_ops,
-            scramble_ports: self.scramble_ports,
-        }
-    }
 }
 
 /// Why a run could not produce a report. These are *runtime-integrity*
@@ -201,9 +168,9 @@ impl RunConfig {
 /// protocol-level interrupts (deadlock, step budget, crashes) are
 /// normal results, reported inside [`RunReport`].
 ///
-/// On whiteboard "lock poisoning": the engines guard boards with
-/// `parking_lot` mutexes, which do not poison — a panic inside a board
-/// access releases the lock cleanly. The panic that *would* have
+/// On whiteboard "lock poisoning": the gated engine guards the world
+/// with a `parking_lot` mutex, which does not poison — a panic inside a
+/// board access releases the lock cleanly. The panic that *would* have
 /// poisoned a std mutex is caught at the agent-program boundary and
 /// surfaced here as [`RunError::AgentPanicked`] instead of unwinding
 /// through `expect` calls in the engine loop.
@@ -262,8 +229,8 @@ impl std::error::Error for RunError {}
 /// per-run configuration lives in the implementing type's fields.
 ///
 /// Implement [`Protocol::run_async`] only: the blocking-style body with
-/// `.await` on each primitive. The thread engines (gated, free) execute
-/// it through the provided [`Protocol::run`] adapter, whose [`SyncCtx`]
+/// `.await` on each primitive. The gated engine executes it through the
+/// provided [`Protocol::run`] adapter, whose [`SyncCtx`]
 /// resolves every primitive inside the poll, so the body runs exactly
 /// as the pre-async blocking code did. The sim engine polls the same
 /// body as a state machine over virtual time. `run_async` is required
@@ -275,7 +242,7 @@ pub trait Protocol {
     #[allow(async_fn_in_trait)]
     async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt>;
 
-    /// Blocking adapter for the thread engines: drive [`run_async`]
+    /// Blocking adapter for the gated engine: drive [`run_async`]
     /// against a [`SyncCtx`], which never suspends.
     ///
     /// [`run_async`]: Protocol::run_async
@@ -311,83 +278,32 @@ impl ElectionRun {
 /// Run `protocol` on `bc` as described by `cfg`.
 ///
 /// One protocol instance is cloned per agent (agent `i` starts at the
-/// `i`-th home-base, as always). Engine-specific knobs the selected
-/// engine does not have (e.g. `timeout` under gated, `policy` or
-/// `replay` under freerun) are ignored.
+/// `i`-th home-base, as always). A replay schedule, when set, replaces
+/// the policy.
 pub fn run<P>(bc: &Bicolored, cfg: &RunConfig, protocol: &P) -> Result<ElectionRun, RunError>
 where
     P: Protocol + Clone + Send + 'static,
 {
+    let mut scheduler: Box<dyn Scheduler> = match &cfg.replay {
+        Some(spec) if spec.strict => Box::new(ReplayScheduler::strict(spec.schedule.clone())),
+        Some(spec) => Box::new(ReplayScheduler::new(spec.schedule.clone())),
+        None => cfg.policy.build(cfg.seed),
+    };
     let report = match cfg.engine {
-        Engine::Gated => {
-            let agents: Vec<GatedAgent> = (0..bc.r())
-                .map(|_| -> GatedAgent {
-                    let p = protocol.clone();
-                    Box::new(move |ctx| p.run(ctx))
-                })
-                .collect();
-            match &cfg.replay {
-                Some(spec) => {
-                    let mut scheduler = if spec.strict {
-                        ReplayScheduler::strict(spec.schedule.clone())
-                    } else {
-                        ReplayScheduler::new(spec.schedule.clone())
-                    };
-                    gated::try_run_gated_with(
-                        bc,
-                        cfg.to_gated(),
-                        &cfg.faults,
-                        agents,
-                        &mut scheduler,
-                    )?
-                }
-                None => {
-                    let mut scheduler = cfg.policy.build(cfg.seed);
-                    gated::try_run_gated_with(
-                        bc,
-                        cfg.to_gated(),
-                        &cfg.faults,
-                        agents,
-                        scheduler.as_mut(),
-                    )?
-                }
-            }
-        }
-        Engine::Free => {
-            let agents: Vec<FreeAgent> = (0..bc.r())
-                .map(|_| -> FreeAgent {
-                    let p = protocol.clone();
-                    Box::new(move |ctx| p.run(ctx))
-                })
-                .collect();
-            try_run_free(bc, cfg.to_free(), &cfg.faults, agents)?
-        }
-        Engine::Sim => match &cfg.replay {
-            Some(spec) => {
-                let mut scheduler = if spec.strict {
-                    ReplayScheduler::strict(spec.schedule.clone())
-                } else {
-                    ReplayScheduler::new(spec.schedule.clone())
-                };
-                crate::sim::try_run_sim_with(
-                    bc,
-                    cfg.to_gated(),
-                    &cfg.faults,
-                    protocol,
-                    &mut scheduler,
-                )?
-            }
-            None => {
-                let mut scheduler = cfg.policy.build(cfg.seed);
-                crate::sim::try_run_sim_with(
-                    bc,
-                    cfg.to_gated(),
-                    &cfg.faults,
-                    protocol,
-                    scheduler.as_mut(),
-                )?
-            }
-        },
+        Engine::Gated => gated::try_run_gated_with(
+            bc,
+            cfg.to_gated(),
+            &cfg.faults,
+            protocol_agents(protocol.clone(), bc),
+            scheduler.as_mut(),
+        )?,
+        Engine::Sim => crate::sim::try_run_sim_with(
+            bc,
+            cfg.to_gated(),
+            &cfg.faults,
+            protocol,
+            scheduler.as_mut(),
+        )?,
     };
     Ok(ElectionRun {
         engine: cfg.engine.name(),
@@ -439,16 +355,14 @@ mod tests {
         assert_eq!(cfg.engine, Engine::Gated);
         let g = cfg.to_gated();
         assert_eq!(g.max_steps, gated::RunConfig::default().max_steps);
+        assert_eq!(g.seed, 9);
         assert!(!g.record_trace);
-        let f = cfg.to_free();
-        assert_eq!(f.max_ops, FreeRunConfig::default().max_ops);
-        assert_eq!(f.seed, 9);
     }
 
     #[test]
     fn runs_on_all_engines() {
         let bc = instance(5, &[1]);
-        for engine in [Engine::Gated, Engine::Free, Engine::Sim] {
+        for engine in Engine::ALL {
             let cfg = RunConfig::new(3).engine(engine);
             let run = run(&bc, &cfg, &ClaimHome).unwrap();
             assert_eq!(run.engine, engine.name());
@@ -501,13 +415,10 @@ mod tests {
             }
             other => panic!("expected AgentPanicked, got {other:?}"),
         }
-        // Freerun and sim surface it too.
-        for engine in [Engine::Free, Engine::Sim] {
-            let cfg = cfg.clone().engine(engine);
-            assert!(matches!(
-                run(&bc, &cfg, &Panics),
-                Err(RunError::AgentPanicked { .. })
-            ));
-        }
+        // Sim surfaces it too.
+        assert!(matches!(
+            run(&bc, &cfg.engine(Engine::Sim), &Panics),
+            Err(RunError::AgentPanicked { .. })
+        ));
     }
 }

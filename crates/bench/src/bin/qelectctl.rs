@@ -372,7 +372,7 @@ fn faults(inv: FaultsInvocation) {
         failed = true;
     }
     if !report.all_replays_identical() {
-        eprintln!("error: a gated replay did not reproduce its run exactly");
+        eprintln!("error: a replay did not reproduce its run exactly");
         failed = true;
     }
     if failed {

@@ -79,8 +79,8 @@
 //!                                  registry entry with an audit schema —
 //!                                  others are rejected with a typed error)
 //!            --seeds 0,1,2         run seeds (default 0,1,2)
-//!            --engine E            gated | sim | free | both | all
-//!                                  (default both: gated+free)
+//!            --engine E            gated | sim | all (default all: both
+//!                                  engines)
 //!            --json PATH           write the schema-versioned JSON report
 //!            --baseline PATH       baseline file (default BENCH_audit.json)
 //!            --tolerance F         fractional regression tolerance (default 0.25)
@@ -89,7 +89,7 @@
 //!
 //! The `faults` subcommand runs the deterministic fault-injection crash
 //! sweep (generated crash/delay plans in the eventually-restarting
-//! regime, gated on the gcd oracle and on identical gated replays):
+//! regime, gated on the gcd oracle and on identical replays):
 //!
 //! ```text
 //! qelectctl faults <spec[@a0,a1,…]> [more specs…] [options]
@@ -98,8 +98,8 @@
 //!            --plans N             generated plans per seed (default 3)
 //!            --crashes N           crash events per plan (default 2)
 //!            --delays N            delay events per plan (default 1)
-//!            --engine E            gated | sim | free | both | all
-//!                                  (default both: gated+free)
+//!            --engine E            gated | sim | all (default all: both
+//!                                  engines)
 //!            --json PATH           write the schema-versioned JSON report
 //! ```
 //!
@@ -184,7 +184,7 @@
 //! ```
 
 use qelect_agentsim::sched::Policy;
-use qelect_agentsim::ProtocolId;
+use qelect_agentsim::{Engine, ProtocolId};
 use qelect_graph::Graph;
 
 /// A fully parsed invocation.
@@ -202,7 +202,7 @@ pub struct Invocation {
     pub policy: Policy,
     /// The engine to drive (gated or sim; the protocol's registry
     /// capability flags say which engines it supports).
-    pub engine: qelect_agentsim::Engine,
+    pub engine: Engine,
     /// Print DOT instead of metrics detail.
     pub dot: bool,
     /// The family spec (echoed in output).
@@ -223,7 +223,7 @@ pub struct ExploreInvocation {
     pub target: ProtocolId,
     /// The deterministic engine to explore on (gated or sim; coverage
     /// signatures are identical on both).
-    pub engine: qelect_agentsim::Engine,
+    pub engine: Engine,
     /// DFS schedule budget.
     pub max_schedules: usize,
     /// Chess-style preemption bound for the DFS.
@@ -430,7 +430,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
     let mut agents = vec![0usize];
     let mut seed = 0u64;
     let mut policy = Policy::Random;
-    let mut engine = qelect_agentsim::Engine::Gated;
+    let mut engine = Engine::Gated;
     let mut dot = false;
     let mut i = 2;
     while i < args.len() {
@@ -509,7 +509,7 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
         agents: vec![0usize],
         seed: 0,
         target: qelect::registry::default_entry().id,
-        engine: qelect_agentsim::Engine::Gated,
+        engine: Engine::Gated,
         max_schedules: 1000,
         preemption_bound: 2,
         swarm_runs: 64,
@@ -720,34 +720,20 @@ pub fn parse_audit_instance(spec: &str) -> Result<crate::report::AuditInstance, 
     ))
 }
 
-/// Parse a single deterministic engine name (`gated` or `sim`) for the
-/// subcommands whose purity/replay guarantees need determinism (`sweep`,
-/// and the plain run driver's unified path).
-fn parse_single_engine(v: &str) -> Result<qelect_agentsim::Engine, ParseError> {
-    Ok(match v {
-        "gated" => qelect_agentsim::Engine::Gated,
-        "sim" => qelect_agentsim::Engine::Sim,
-        other => {
-            return Err(ParseError(format!(
-                "unknown engine '{other}' (expected gated or sim)"
-            )))
-        }
-    })
+/// Parse an engine name (`gated` or `sim`).
+fn parse_single_engine(v: &str) -> Result<Engine, ParseError> {
+    Engine::parse(v)
+        .ok_or_else(|| ParseError(format!("unknown engine '{v}' (expected gated or sim)")))
 }
 
-/// Parse an `--engine` selector shared by `audit` and `faults`:
-/// a single engine name (`gated`, `sim`, `free`), `both` (the legacy
-/// gated+free pair), or `all` (every engine).
-fn parse_engine_list(v: &str) -> Result<Vec<crate::report::AuditEngine>, ParseError> {
-    use crate::report::AuditEngine;
-    Ok(match v {
-        "gated" => vec![AuditEngine::Gated],
-        "sim" => vec![AuditEngine::Sim],
-        "free" => vec![AuditEngine::Free],
-        "both" => vec![AuditEngine::Gated, AuditEngine::Free],
-        "all" => vec![AuditEngine::Gated, AuditEngine::Sim, AuditEngine::Free],
-        other => return Err(ParseError(format!("unknown engine '{other}'"))),
-    })
+/// Parse an `--engine` selector shared by `audit` and `faults`: one
+/// engine name, or `all` (both engines, the default).
+fn parse_engine_list(v: &str) -> Result<Vec<Engine>, ParseError> {
+    match (v, Engine::parse(v)) {
+        ("all", _) => Ok(Engine::ALL.to_vec()),
+        (_, Some(engine)) => Ok(vec![engine]),
+        _ => err(format!("unknown engine '{v}' (expected gated, sim or all)")),
+    }
 }
 
 /// Parse an `audit` argv (without the binary name and the `audit` token
@@ -756,7 +742,7 @@ pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
     if args.is_empty() {
         return err(
             "usage: qelectctl audit <spec[@a0,a1,…]>… [--protocol NAME] \
-             [--seeds 0,1,2] [--engine gated|sim|free|both|all] [--json PATH] \
+             [--seeds 0,1,2] [--engine gated|sim|all] [--json PATH] \
              [--baseline PATH] [--tolerance F] [--write-baseline]",
         );
     }
@@ -839,7 +825,7 @@ pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
     if args.is_empty() {
         return err("usage: qelectctl faults <spec[@a0,a1,…]>… [--seeds 0,1] \
              [--plans N] [--crashes N] [--delays N] \
-             [--engine gated|sim|free|both|all] [--json PATH]");
+             [--engine gated|sim|all] [--json PATH]");
     }
     let mut config = crate::faults::FaultsConfig::default();
     let mut inv_json = None;
@@ -1196,10 +1182,7 @@ pub fn parse_load(args: &[String]) -> Result<LoadInvocation, ParseError> {
                 let v = args
                     .get(i)
                     .ok_or(ParseError("--engine needs a value".into()))?;
-                if !matches!(v.as_str(), "gated" | "sim" | "free") {
-                    return err(format!("unknown engine '{v}'"));
-                }
-                config.engine = v.clone();
+                config.engine = parse_single_engine(v)?.name().to_string();
             }
             "--protocol" => {
                 i += 1;
@@ -1485,7 +1468,7 @@ mod tests {
         assert_eq!(inv.graph.n(), 9);
         assert_eq!(inv.agents, vec![0]);
         assert_eq!(inv.target.name(), "elect");
-        assert_eq!(inv.engine, qelect_agentsim::Engine::Gated);
+        assert_eq!(inv.engine, Engine::Gated);
         assert_eq!(inv.max_schedules, 1000);
         assert_eq!(inv.preemption_bound, 2);
         assert_eq!(inv.swarm_runs, 64);
@@ -1508,7 +1491,7 @@ mod tests {
         assert_eq!(inv.agents, vec![0, 3]);
         assert_eq!(inv.seed, 7);
         assert_eq!(inv.target.name(), "anonymous");
-        assert_eq!(inv.engine, qelect_agentsim::Engine::Sim);
+        assert_eq!(inv.engine, Engine::Sim);
         assert_eq!(inv.max_schedules, 50);
         assert_eq!(inv.preemption_bound, 1);
         assert_eq!(inv.swarm_runs, 5);
@@ -1584,12 +1567,17 @@ mod tests {
         assert_eq!(inv.config.instances[1].agents, vec![0], "default home-base");
         assert_eq!(inv.config.instances[1].family(), "petersen");
         assert_eq!(inv.config.seeds, vec![0, 1, 2]);
-        assert_eq!(inv.config.engines.len(), 2);
+        assert_eq!(inv.config.engines, Engine::ALL, "default: both engines");
         assert_eq!(inv.config.protocol.name(), "elect", "default protocol");
         assert_eq!(inv.baseline, "BENCH_audit.json");
         assert!((inv.tolerance - crate::report::DEFAULT_TOLERANCE).abs() < 1e-12);
         assert!(!inv.write_baseline);
         assert!(inv.json.is_none());
+        let Command::Audit(all) = parse_command(&argv("audit cycle:6 --engine all")).unwrap()
+        else {
+            panic!("expected audit")
+        };
+        assert_eq!(all.config.engines, Engine::ALL);
     }
 
     #[test]
@@ -1605,7 +1593,7 @@ mod tests {
         assert_eq!(inv.config.instances[0].spec, "circulant:12:1,3");
         assert_eq!(inv.config.instances[0].agents, vec![0, 1, 3]);
         assert_eq!(inv.config.seeds, vec![4, 5]);
-        assert_eq!(inv.config.engines, vec![crate::report::AuditEngine::Gated]);
+        assert_eq!(inv.config.engines, vec![Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("out.json"));
         assert_eq!(inv.baseline, "B.json");
         assert!((inv.tolerance - 0.5).abs() < 1e-12);
@@ -1634,7 +1622,11 @@ mod tests {
         assert!(parse_command(&argv("audit")).is_err());
         assert!(parse_command(&argv("audit nosuch:5")).is_err());
         assert!(parse_command(&argv("audit cycle:6@x")).is_err());
-        assert!(parse_command(&argv("audit cycle:6 --engine warp")).is_err());
+        for engine in ["warp", "free", "both"] {
+            let err =
+                parse_command(&argv(&format!("audit cycle:6 --engine {engine}"))).unwrap_err();
+            assert!(err.0.contains("unknown engine"), "{engine}: {}", err.0);
+        }
         assert!(parse_command(&argv("audit cycle:6 --tolerance -1")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --tolerance x")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --frobnicate")).is_err());
@@ -1654,7 +1646,7 @@ mod tests {
         assert_eq!(inv.config.plans, 3);
         assert_eq!(inv.config.crashes, 2);
         assert_eq!(inv.config.delays, 1);
-        assert_eq!(inv.config.engines.len(), 2);
+        assert_eq!(inv.config.engines, Engine::ALL, "default: both engines");
         assert!(inv.json.is_none());
     }
 
@@ -1672,7 +1664,7 @@ mod tests {
         assert_eq!(inv.config.plans, 2);
         assert_eq!(inv.config.crashes, 3);
         assert_eq!(inv.config.delays, 0);
-        assert_eq!(inv.config.engines, vec![crate::report::AuditEngine::Gated]);
+        assert_eq!(inv.config.engines, vec![Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("f.json"));
     }
 
@@ -1681,7 +1673,11 @@ mod tests {
         assert!(parse_command(&argv("faults")).is_err());
         assert!(parse_command(&argv("faults nosuch:5")).is_err());
         assert!(parse_command(&argv("faults cycle:6@x")).is_err());
-        assert!(parse_command(&argv("faults cycle:6 --engine warp")).is_err());
+        for engine in ["warp", "free", "both"] {
+            let err =
+                parse_command(&argv(&format!("faults cycle:6 --engine {engine}"))).unwrap_err();
+            assert!(err.0.contains("unknown engine"), "{engine}: {}", err.0);
+        }
         assert!(parse_command(&argv("faults cycle:6 --plans 0")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --crashes x")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --frobnicate")).is_err());
@@ -1788,6 +1784,7 @@ mod tests {
         assert!(parse_command(&argv("load --mix cycle:6@0,0")).is_err());
         assert!(parse_command(&argv("load --policy warp")).is_err());
         assert!(parse_command(&argv("load --engine warp")).is_err());
+        assert!(parse_command(&argv("load --engine free")).is_err());
         assert!(parse_command(&argv("load --batch 100000")).is_err());
         assert!(parse_command(&argv("load --shards 0")).is_err());
         assert!(
@@ -2012,7 +2009,7 @@ mod tests {
         };
         assert_eq!(inv.json, "/tmp/z.json");
         assert_eq!(inv.config.seed, 9);
-        assert_eq!(inv.config.engine, qelect_agentsim::Engine::Sim);
+        assert_eq!(inv.config.engine, Engine::Sim);
         assert_eq!(inv.config.instances.len(), 2);
         assert_eq!(inv.config.instances[0].key(), "cycle:6@0,3");
         let names: Vec<&str> = inv.config.protocols.iter().map(|p| p.name()).collect();

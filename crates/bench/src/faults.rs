@@ -5,10 +5,9 @@
 //! the eventually-restarting regime, run crash-recovering ELECT under
 //! them on the selected engines, and gate on the Theorem 3.1 oracle —
 //! with every crashed agent eventually restarting, the run must elect
-//! exactly when `gcd(|C_i|) = 1`, crashes or not. Deterministic trials
-//! (gated and sim) are additionally replayed (same plan, same seed,
-//! same scheduler) and must reproduce identical outcomes and per-phase
-//! span metrics.
+//! exactly when `gcd(|C_i|) = 1`, crashes or not. Every trial is
+//! additionally replayed (same plan, same seed, same scheduler) and must
+//! reproduce identical outcomes and per-phase span metrics.
 //!
 //! The per-instance report attributes recovery cost explicitly: the
 //! `recovery` phase span (opened by restarted incarnations until they
@@ -22,7 +21,7 @@ use qelect_agentsim::fault::FaultSummary;
 use qelect_agentsim::json;
 use qelect_graph::Bicolored;
 
-use crate::report::{AuditEngine, AuditInstance};
+use crate::report::AuditInstance;
 use crate::{header, row};
 
 /// Schema tag embedded in every faults JSON document (the shared
@@ -43,7 +42,7 @@ pub struct FaultsConfig {
     /// Delay events per generated plan.
     pub delays: usize,
     /// The engines to drive.
-    pub engines: Vec<AuditEngine>,
+    pub engines: Vec<Engine>,
 }
 
 impl Default for FaultsConfig {
@@ -54,7 +53,7 @@ impl Default for FaultsConfig {
             plans: 3,
             crashes: 2,
             delays: 1,
-            engines: vec![AuditEngine::Gated, AuditEngine::Free],
+            engines: Engine::ALL.to_vec(),
         }
     }
 }
@@ -62,7 +61,7 @@ impl Default for FaultsConfig {
 /// One (seed, plan, engine) trial of one instance.
 #[derive(Debug, Clone)]
 pub struct FaultTrial {
-    /// Engine name (`"gated"` / `"sim"` / `"free"`).
+    /// Engine name (`"gated"` / `"sim"`).
     pub engine: &'static str,
     /// Run seed.
     pub seed: u64,
@@ -70,11 +69,9 @@ pub struct FaultTrial {
     pub plan: usize,
     /// Whether the verdict matched the gcd oracle.
     pub agree: bool,
-    /// Deterministic engines (gated, sim) only: whether an identical
-    /// re-run reproduced identical outcomes and per-phase span metrics.
-    /// `None` for the free engine (checked there through oracle
-    /// agreement only).
-    pub replay_identical: Option<bool>,
+    /// Whether an identical re-run reproduced identical outcomes and
+    /// per-phase span metrics.
+    pub replay_identical: bool,
     /// Fault activity of the run.
     pub summary: FaultSummary,
     /// Total work (moves + whiteboard accesses) of the run.
@@ -107,12 +104,9 @@ impl InstanceFaults {
         self.trials.iter().filter(|t| t.agree).count()
     }
 
-    /// Deterministic-engine trials that failed the identical-replay check.
+    /// Trials that failed the identical-replay check.
     pub fn replay_mismatches(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| t.replay_identical == Some(false))
-            .count()
+        self.trials.iter().filter(|t| !t.replay_identical).count()
     }
 
     /// Mean work overhead over the crash-free baseline (1.0 = free).
@@ -157,7 +151,7 @@ impl FaultsReport {
             .all(|i| i.agreeing() == i.trials.len())
     }
 
-    /// Whether every deterministic-engine trial replayed identically.
+    /// Whether every trial replayed identically.
     pub fn all_replays_identical(&self) -> bool {
         self.instances.iter().all(|i| i.replay_mismatches() == 0)
     }
@@ -195,11 +189,7 @@ impl FaultsReport {
                     t.work.to_string(),
                     t.recovery_work.to_string(),
                     if t.agree { "yes" } else { "NO" }.to_string(),
-                    match t.replay_identical {
-                        Some(true) => "ok".to_string(),
-                        Some(false) => "MISMATCH".to_string(),
-                        None => "-".to_string(),
-                    },
+                    if t.replay_identical { "ok" } else { "MISMATCH" }.to_string(),
                 ]));
                 out.push('\n');
             }
@@ -251,10 +241,7 @@ impl FaultsReport {
                     t.plan,
                     t.agree
                 ));
-                match t.replay_identical {
-                    Some(v) => s.push_str(&format!("\"replay_identical\": {v}, ")),
-                    None => s.push_str("\"replay_identical\": null, "),
-                }
+                s.push_str(&format!("\"replay_identical\": {}, ", t.replay_identical));
                 s.push_str(&format!(
                     "\"crashes\": {}, \"restarts\": {}, \"aborted\": {}, \
                      \"lost_ops\": {}, \"delay_ticks\": {}, \"backoff_ticks\": {}, \
@@ -366,7 +353,6 @@ pub fn run_faults(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
                     .wrapping_add(p as u64);
                 let plan = FaultPlan::generate(plan_seed, bc.r(), horizon, cfg.crashes, cfg.delays);
                 for &engine in &cfg.engines {
-                    let engine = engine.to_engine();
                     let run_cfg = RunConfig::new(seed).engine(engine).faults(plan.clone());
                     let run = run_election(&bc, &run_cfg).map_err(|e| {
                         format!("{}: {} run failed: {e}", inst.key(), engine.name())
@@ -376,18 +362,11 @@ pub fn run_faults(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
                     } else {
                         run.report.unanimous_unsolvable()
                     };
-                    let replay_identical = match engine {
-                        Engine::Gated | Engine::Sim => {
-                            let again = run_election(&bc, &run_cfg).map_err(|e| {
-                                format!("{}: {} replay failed: {e}", inst.key(), engine.name())
-                            })?;
-                            Some(
-                                replay_fingerprint(&again.report)
-                                    == replay_fingerprint(&run.report),
-                            )
-                        }
-                        Engine::Free => None,
-                    };
+                    let again = run_election(&bc, &run_cfg).map_err(|e| {
+                        format!("{}: {} replay failed: {e}", inst.key(), engine.name())
+                    })?;
+                    let replay_identical =
+                        replay_fingerprint(&again.report) == replay_fingerprint(&run.report);
                     trials.push(FaultTrial {
                         engine: engine.name(),
                         seed,
@@ -436,7 +415,7 @@ mod tests {
             plans: 2,
             crashes: 2,
             delays: 1,
-            engines: vec![AuditEngine::Gated],
+            engines: vec![Engine::Gated],
         }
     }
 
@@ -469,7 +448,7 @@ mod tests {
             plans: 1,
             crashes: 1,
             delays: 0,
-            engines: vec![AuditEngine::Gated],
+            engines: vec![Engine::Gated],
         })
         .unwrap();
         let text = report.to_json();

@@ -79,7 +79,7 @@ pub struct LoadConfig {
     /// Elections per round-trip via `POST /v1/batch` (0 = one per
     /// `POST /v1/elect`).
     pub batch: usize,
-    /// Engine name sent with every request (`gated`, `sim`, `free`).
+    /// Engine name sent with every request (`gated` or `sim`).
     pub engine: String,
     /// Protocol wire name sent with every request. The default
     /// ([`qelect::registry::DEFAULT_PROTOCOL`]) is *omitted* from the

@@ -41,37 +41,6 @@ pub const SWEEP_SCHEMA: &str = json::envelope::SWEEP;
 /// than this fraction.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// Which engine(s) an audit run drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuditEngine {
-    /// The deterministic gated engine (one agent per scheduler grant).
-    Gated,
-    /// The deterministic single-threaded discrete-event simulator.
-    Sim,
-    /// The free-running engine (one OS thread per agent).
-    Free,
-}
-
-impl AuditEngine {
-    /// Stable name used in JSON and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AuditEngine::Gated => "gated",
-            AuditEngine::Sim => "sim",
-            AuditEngine::Free => "free",
-        }
-    }
-
-    /// The unified-engine selector this audit engine drives.
-    pub fn to_engine(self) -> Engine {
-        match self {
-            AuditEngine::Gated => Engine::Gated,
-            AuditEngine::Sim => Engine::Sim,
-            AuditEngine::Free => Engine::Free,
-        }
-    }
-}
-
 /// One named instance of an audit: a family spec plus home-bases.
 #[derive(Debug, Clone)]
 pub struct AuditInstance {
@@ -118,7 +87,7 @@ pub struct AuditConfig {
     /// Run seeds; every (instance, seed, engine) triple is one trial.
     pub seeds: Vec<u64>,
     /// The engines to drive.
-    pub engines: Vec<AuditEngine>,
+    pub engines: Vec<Engine>,
 }
 
 impl Default for AuditConfig {
@@ -127,7 +96,7 @@ impl Default for AuditConfig {
             protocol: qelect::registry::default_entry().id,
             instances: Vec::new(),
             seeds: vec![0, 1, 2],
-            engines: vec![AuditEngine::Gated, AuditEngine::Free],
+            engines: Engine::ALL.to_vec(),
         }
     }
 }
@@ -245,16 +214,15 @@ pub struct AuditReport {
     /// The seeds driven.
     pub seeds: Vec<u64>,
     /// The engines driven.
-    pub engines: Vec<AuditEngine>,
+    pub engines: Vec<Engine>,
 }
 
 fn run_one(
     entry: &'static qelect_agentsim::ProtocolEntry,
     bc: &Bicolored,
     seed: u64,
-    engine: AuditEngine,
+    engine: Engine,
 ) -> Result<Metrics, String> {
-    let engine = engine.to_engine();
     let election = entry
         .run(bc, &RunConfig::new(seed).engine(engine))
         .map_err(|e| format!("{} {} run failed: {e}", entry.id.name(), engine.name()))?;
@@ -597,7 +565,7 @@ mod tests {
                 agents: vec![0, 3],
             }],
             seeds: vec![0],
-            engines: vec![AuditEngine::Gated],
+            engines: vec![Engine::Gated],
             ..AuditConfig::default()
         }
     }

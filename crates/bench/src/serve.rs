@@ -21,10 +21,9 @@
 //!
 //! **Single-flight dedup** — identical `(instance, config)` requests
 //! in flight share one execution: the second arrival attaches to the
-//! first's result cell instead of consuming queue capacity. Under the
-//! gated engine a run is a pure function of `(instance, config)`, so a
-//! coalesced response is bit-identical to a private run; under the free
-//! engine coalesced requests share one (schedule-dependent) execution.
+//! first's result cell instead of consuming queue capacity. On either
+//! engine a run is a pure function of `(instance, config)`, so a
+//! coalesced response is bit-identical to a private run.
 //!
 //! **Graceful shutdown** — `POST /shutdown` (or
 //! [`ServerHandle::shutdown`] in process, which `qelectctl serve
@@ -508,11 +507,15 @@ impl ElectRequest {
                 entry
             }
         };
-        let engine = match get(obj, "engine").and_then(Value::as_str) {
-            None | Some("gated") => Engine::Gated,
-            Some("sim") => Engine::Sim,
-            Some("free") => Engine::Free,
-            Some(other) => return Err(format!("unknown engine {other:?}")),
+        // `engine` and `policy` are optional, but a present value must
+        // be a known name: a mistyped one is a bad request, never the
+        // default.
+        let engine = match get(obj, "engine") {
+            None => Engine::Gated,
+            Some(v) => {
+                let name = v.as_str().ok_or("\"engine\" must be a string")?;
+                Engine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
+            }
         };
         if !protocol.supports(engine) {
             return Err(format!(
@@ -521,9 +524,12 @@ impl ElectRequest {
                 engine.name()
             ));
         }
-        let policy = match get(obj, "policy").and_then(Value::as_str) {
+        let policy = match get(obj, "policy") {
             None => Policy::Random,
-            Some(name) => parse_policy(name).ok_or_else(|| format!("unknown policy {name:?}"))?,
+            Some(v) => {
+                let name = v.as_str().ok_or("\"policy\" must be a string")?;
+                parse_policy(name).ok_or_else(|| format!("unknown policy {name:?}"))?
+            }
         };
         let seed = match get(obj, "seed") {
             None => 0,
@@ -1410,6 +1416,37 @@ mod tests {
     }
 
     #[test]
+    fn mistyped_engine_and_policy_are_bad_requests() {
+        let parse_err = |fields: &str| {
+            let body =
+                format!(r#"{{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3"{fields}}}"#);
+            ElectRequest::parse(&body, false)
+                .err()
+                .expect("mistyped field accepted")
+        };
+        assert_eq!(
+            parse_err(r#", "engine": 5"#),
+            r#""engine" must be a string"#
+        );
+        assert_eq!(
+            parse_err(r#", "engine": null, "policy": 7"#),
+            r#""engine" must be a string"#
+        );
+        assert_eq!(
+            parse_err(r#", "policy": 7"#),
+            r#""policy" must be a string"#
+        );
+        assert_eq!(
+            parse_err(r#", "policy": null"#),
+            r#""policy" must be a string"#
+        );
+        assert_eq!(
+            parse_err(r#", "engine": "free""#),
+            r#"unknown engine "free""#
+        );
+    }
+
+    #[test]
     fn debug_sleep_is_gated_behind_debug_mode() {
         let body = r#"{"schema": "qelect-request/1", "spec": "cycle:9", "debug_sleep_ms": 50}"#;
         assert_eq!(ElectRequest::parse(body, false).unwrap().sleep_ms, 0);
@@ -1431,7 +1468,7 @@ mod tests {
         for other in [
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 2}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,2", "seed": 1}"#,
-            r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "free"}"#,
+            r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "sim"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "policy": "lockstep"}"#,
         ] {
             assert_ne!(base, mk(other), "{other}");

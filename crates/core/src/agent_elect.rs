@@ -88,7 +88,7 @@ mod tests {
         // the anonymous protocols — comparable identifiers cut right
         // through the symmetry.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+        for engine in Engine::ALL {
             let run = run_on(&bc, engine, 13);
             assert!(
                 run.clean_election(),

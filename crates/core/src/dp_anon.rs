@@ -109,7 +109,7 @@ mod tests {
         // home-base class is a singleton.
         let bc = instance(9, &[0, 1, 3]);
         assert!(dp_solvable(&bc));
-        for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+        for engine in Engine::ALL {
             let run = run_on(&bc, engine, 7);
             assert!(
                 run.clean_election(),

@@ -26,8 +26,8 @@ use qelect_agentsim::{
 /// The agent ends back at its home-base (map node 0).
 ///
 /// Blocking adapter over [`map_drawing_async`] for the thread-per-agent
-/// engines (gated, freerun): the future resolves on the first poll
-/// because every [`SyncCtx`] primitive blocks inside it.
+/// gated engine: the future resolves on the first poll because every
+/// [`SyncCtx`] primitive blocks inside it.
 pub fn map_drawing<C: MobileCtx>(ctx: &mut C) -> Result<AgentMap, Interrupt> {
     poll_now(map_drawing_async(&mut SyncCtx(ctx)))
 }

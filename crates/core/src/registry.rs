@@ -10,15 +10,15 @@
 //!
 //! | wire name | paper | engines | oracle |
 //! |---|---|---|---|
-//! | `elect` | SPAA 2003 (source) | gated, free, sim | gcd of class sizes = 1 |
-//! | `cayley` | SPAA 2003 §4 | gated, free, sim | Theorem 4.1 (when decided) |
+//! | `elect` | SPAA 2003 (source) | gated, sim | gcd of class sizes = 1 |
+//! | `cayley` | SPAA 2003 §4 | gated, sim | Theorem 4.1 (when decided) |
 //! | `quantitative` | SPAA 2003 §1.3 | gated | always elects |
 //! | `view` | SPAA 2003 §2 | gated | — |
 //! | `gather` | SPAA 2003 §5 | gated | — |
 //! | `petersen` | SPAA 2003 §4 | gated | — |
-//! | `anonymous` | SPAA 2003 §1.3 | gated, free, sim | — (the counterexample) |
-//! | `dp-anon` | arXiv:1205.6249 | gated, free, sim | some singleton home-base class |
-//! | `agent-elect` | arXiv:2403.13716 | gated, free, sim | always elects |
+//! | `anonymous` | SPAA 2003 §1.3 | gated, sim | — (the counterexample) |
+//! | `dp-anon` | arXiv:1205.6249 | gated, sim | some singleton home-base class |
+//! | `agent-elect` | arXiv:2403.13716 | gated, sim | always elects |
 
 use crate::agent_elect::AgentElectProtocol;
 use crate::anonymous::{ring_probe_counterexample, RingProbeProtocol};
@@ -43,7 +43,7 @@ use qelect_group::recognition::RecognitionBudget;
 /// default, the load generator's default mix).
 pub const DEFAULT_PROTOCOL: &str = "elect";
 
-const ALL_ENGINES: &[Engine] = &[Engine::Gated, Engine::Free, Engine::Sim];
+const ALL_ENGINES: &[Engine] = &Engine::ALL;
 const GATED_ONLY: &[Engine] = &[Engine::Gated];
 
 fn run_elect_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
@@ -582,9 +582,6 @@ mod tests {
         for e in registry().entries().iter().filter(|e| e.caps.servable) {
             for bc in &cases {
                 for &engine in e.caps.engines {
-                    if engine == Engine::Free {
-                        continue; // nondeterministic; the point is no panic on gated/sim
-                    }
                     let run = e
                         .run(bc, &RunConfig::new(3).engine(engine))
                         .unwrap_or_else(|err| panic!("{} on {}: {err}", e.id, engine.name()));

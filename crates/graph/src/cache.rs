@@ -427,6 +427,17 @@ mod tests {
     use crate::families;
     use crate::surrounding::ordered_classes;
 
+    /// Held by the tests that flip the process-global enabled flag or
+    /// rely on it staying on: the observer test's miss would bypass the
+    /// cache (and its observer) if it ran while the cache is disabled.
+    static GLOBAL_SETTINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn global_settings() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_SETTINGS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn instance(n: usize, homes: &[usize]) -> Bicolored {
         Bicolored::new(families::cycle(n).unwrap(), homes).unwrap()
     }
@@ -530,6 +541,7 @@ mod tests {
         // checks the *correctness* of the disabled path — concurrent
         // tests may interleave counter traffic, so no counter asserts.
         let bc = instance(5, &[0]);
+        let _settings = global_settings();
         global().set_enabled(false);
         let oc = ordered_classes_cached(&bc);
         let canon = canonicalize_cached(&ColoredDigraph::from_bicolored(&bc));
@@ -545,6 +557,7 @@ mod tests {
     fn canon_observer_sees_misses_not_hits_or_seeds() {
         // The observer is process-global; use a distinctive instance so
         // concurrent tests' traffic cannot be mistaken for ours.
+        let _settings = global_settings();
         let bc = instance(46, &[0, 9, 21]);
         let d = ColoredDigraph::from_bicolored(&bc);
         let key = encode_digraph(&d);

@@ -3,9 +3,9 @@
 //! Pins three things end to end:
 //!
 //! 1. **Theorem 3.1** — `total_work ≤ c·r·|E|` on cycles and the
-//!    Petersen graph, under *both* the gated and the free-running
-//!    engine, with the generous-but-finite envelope constant the paper's
-//!    O(r·|E|) bound promises exists.
+//!    Petersen graph, under *both* the gated and the sim engine, with
+//!    the generous-but-finite envelope constant the paper's O(r·|E|)
+//!    bound promises exists.
 //! 2. **Attribution exactness** — the per-phase rows of every audited
 //!    instance sum exactly to the run totals (the span invariant,
 //!    observed through the full `run_audit` pipeline rather than a unit
@@ -14,9 +14,8 @@
 //!    baseline parser and the gate accepts/rejects as configured, the
 //!    same path `qelectctl audit` and CI exercise.
 
-use qelect_bench::report::{
-    check_against_baseline, run_audit, AuditConfig, AuditEngine, AuditInstance,
-};
+use qelect_agentsim::Engine;
+use qelect_bench::report::{check_against_baseline, run_audit, AuditConfig, AuditInstance};
 use qelect_graph::families;
 
 /// The envelope constant: generous (the measured fits sit below 10 on
@@ -44,7 +43,7 @@ fn audit_instances() -> Vec<AuditInstance> {
     ]
 }
 
-fn config(engines: Vec<AuditEngine>) -> AuditConfig {
+fn config(engines: Vec<Engine>) -> AuditConfig {
     AuditConfig {
         instances: audit_instances(),
         seeds: vec![0, 1],
@@ -55,7 +54,7 @@ fn config(engines: Vec<AuditEngine>) -> AuditConfig {
 
 #[test]
 fn theorem_3_1_bound_holds_under_the_gated_engine() {
-    let report = run_audit(&config(vec![AuditEngine::Gated])).unwrap();
+    let report = run_audit(&config(vec![Engine::Gated])).unwrap();
     for inst in &report.instances {
         assert!(
             inst.fitted_c <= C_ENVELOPE,
@@ -68,8 +67,8 @@ fn theorem_3_1_bound_holds_under_the_gated_engine() {
 }
 
 #[test]
-fn theorem_3_1_bound_holds_under_the_free_running_engine() {
-    let report = run_audit(&config(vec![AuditEngine::Free])).unwrap();
+fn theorem_3_1_bound_holds_under_the_sim_engine() {
+    let report = run_audit(&config(vec![Engine::Sim])).unwrap();
     for inst in &report.instances {
         assert!(
             inst.fitted_c <= C_ENVELOPE,
@@ -82,7 +81,7 @@ fn theorem_3_1_bound_holds_under_the_free_running_engine() {
 
 #[test]
 fn phase_totals_sum_to_run_totals_on_every_instance() {
-    let report = run_audit(&config(vec![AuditEngine::Gated, AuditEngine::Free])).unwrap();
+    let report = run_audit(&config(Engine::ALL.to_vec())).unwrap();
     for inst in &report.instances {
         let sum = inst.phases.iter().fold((0u64, 0u64, 0u64), |acc, p| {
             (acc.0 + p.moves, acc.1 + p.accesses, acc.2 + p.waits)
@@ -109,7 +108,7 @@ fn phase_totals_sum_to_run_totals_on_every_instance() {
 
 #[test]
 fn json_report_gates_like_the_ci_job() {
-    let report = run_audit(&config(vec![AuditEngine::Gated])).unwrap();
+    let report = run_audit(&config(vec![Engine::Gated])).unwrap();
     let json = report.to_json();
     // Self-comparison passes (tiny tolerance absorbs serialization
     // rounding); a baseline claiming half the constant regresses.

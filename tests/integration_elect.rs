@@ -127,33 +127,6 @@ fn elect_consistent_across_scheduler_policies() {
 }
 
 #[test]
-fn elect_runs_on_the_parallel_engine() {
-    // The same protocol code on the free-running engine: outcomes must
-    // match the gated verdicts (true parallel agents, mutexed boards).
-    for (label, bc) in [
-        (
-            "C6/trio",
-            Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap(),
-        ),
-        (
-            "C6/antipodal",
-            Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap(),
-        ),
-    ] {
-        let expected = elect_succeeds(&bc);
-        let election = run_election(&bc, &RunConfig::new(0).engine(Engine::Free)).unwrap();
-        assert_eq!(election.engine, "free");
-        assert_eq!(
-            election.clean_election(),
-            expected,
-            "{label}: {:?} ({:?})",
-            election.report.outcomes,
-            election.report.interrupted
-        );
-    }
-}
-
-#[test]
 fn quantitative_baseline_is_universal_where_elect_fails() {
     // Table 1, quantitative row: success even on the gcd > 1 instances.
     for (label, bc) in suite() {

@@ -70,7 +70,7 @@ fn generated_plans_agree_with_oracle_on_both_engines() {
         for seed in [0u64, 1] {
             for p in 0..2u64 {
                 let plan = FaultPlan::generate(seed * 31 + p, bc.r(), 25, 2, 1);
-                for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+                for engine in Engine::ALL {
                     let run = qelect::replay::run_elect_with_plan(&bc, seed, engine, &plan)
                         .unwrap_or_else(|e| panic!("{label} {}: {e}", engine.name()));
                     qelect::replay::faulty_run_matches_oracle(&bc, &run).unwrap_or_else(|e| {
@@ -172,7 +172,7 @@ fn agent_panics_surface_as_typed_run_errors() {
         }
     }
     let bc = Bicolored::new(families::cycle(5).unwrap(), &[0]).unwrap();
-    for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+    for engine in Engine::ALL {
         let err = qelect_agentsim::run(&bc, &RunConfig::new(0).engine(engine), &Bomb)
             .expect_err("a panicking agent must not look like a clean run");
         match err {

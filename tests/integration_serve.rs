@@ -461,14 +461,15 @@ fn batch_envelope_failures_and_per_item_errors() {
         {"spec": "cycle:9@0,1,3", "seed": 1},
         {"spec": "nosuch:9"},
         {"spec": "cycle:6@0,3", "seed": 2, "engine": "sim"},
-        "not an object"
+        "not an object",
+        {"spec": "cycle:9@0,1,3", "engine": 5}
     ]}"#;
     let (code, body) = http(addr, "POST", "/v1/batch", mixed);
     assert_eq!(code, 200, "{body}");
     let resp = parse_response(&body);
-    assert_eq!(get(&resp, "count").unwrap().as_num(), Some(4.0));
+    assert_eq!(get(&resp, "count").unwrap().as_num(), Some(5.0));
     assert_eq!(get(&resp, "ok").unwrap().as_num(), Some(2.0));
-    assert_eq!(get(&resp, "failed").unwrap().as_num(), Some(2.0));
+    assert_eq!(get(&resp, "failed").unwrap().as_num(), Some(3.0));
     let results = get(&resp, "results").unwrap().as_array().unwrap();
     let kinds: Vec<Option<&str>> = results
         .iter()
@@ -481,6 +482,14 @@ fn batch_envelope_failures_and_per_item_errors() {
     assert_eq!(kinds[1], Some("bad_request"));
     assert_eq!(kinds[2], None);
     assert_eq!(kinds[3], Some("bad_request"));
+    // A mistyped engine is a bad request, not a silent default.
+    assert_eq!(kinds[4], Some("bad_request"));
+    assert_eq!(
+        get(results[4].as_object().unwrap(), "error")
+            .unwrap()
+            .as_str(),
+        Some(r#""engine" must be a string"#)
+    );
     assert_eq!(
         get(results[0].as_object().unwrap(), "outcome")
             .unwrap()
