@@ -14,7 +14,8 @@
 //!    the gate — they are either typos or missing registry entries);
 //! 2. any report with a top-level `"passed"` field must say `true`;
 //! 3. `BENCH_canon.json` must carry its ELECT end-to-end curve up to
-//!    [`ELECT_CURVE_TOP_N`] nodes;
+//!    [`ELECT_CURVE_TOP_N`] nodes, and the `host` it was measured on
+//!    (at least one core);
 //! 4. `BENCH_serve.json` must report warm throughput of at least
 //!    `--min-warm-rps × (1 − --tolerance)`, where the floor defaults
 //!    to [`REQUIRED_WARM_SPEEDUP`] × the PR 5 single-shard baseline
@@ -186,6 +187,14 @@ fn check_report(
             return Err(format!(
                 "the ELECT curve stops at n = {top} (must reach {ELECT_CURVE_TOP_N})"
             ));
+        }
+        let cores = json::get(&obj, "host")
+            .and_then(Value::as_object)
+            .and_then(|h| json::get(h, "cores"))
+            .and_then(Value::as_num)
+            .ok_or("missing the \"host\" block with numeric \"cores\"")?;
+        if cores < 1.0 {
+            return Err(format!("\"host\" reports {cores} cores (must be >= 1)"));
         }
         return Ok(());
     }
@@ -386,8 +395,8 @@ mod tests {
         };
         let report = |top: u32| {
             format!(
-                "{{\"schema\": \"qelect-canonbench/2\", \"elect\": [{{\"n\": 100}}, \
-                 {{\"n\": {top}}}], \"passed\": true}}"
+                "{{\"schema\": \"qelect-canonbench/2\", \"host\": {{\"cores\": 2}}, \
+                 \"elect\": [{{\"n\": 100}}, {{\"n\": {top}}}], \"passed\": true}}"
             )
         };
         std::fs::write(dir.join("BENCH_canon.json"), report(10_000)).unwrap();
@@ -403,6 +412,35 @@ mod tests {
         )
         .unwrap();
         assert!(!run(&cfg).unwrap().passed());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gate_requires_the_canon_report_to_record_its_host() {
+        let dir = tmp_dir("canon-host");
+        let cfg = GateConfig {
+            dir: dir.to_str().unwrap().into(),
+            ..GateConfig::default()
+        };
+        let report = |host: &str| {
+            format!(
+                "{{\"schema\": \"qelect-canonbench/2\", {host}\
+                 \"elect\": [{{\"n\": 10000}}], \"passed\": true}}"
+            )
+        };
+        let with = "\"host\": {\"cores\": 1, \"rustc\": null, \"git_rev\": null}, ";
+        std::fs::write(dir.join("BENCH_canon.json"), report(with)).unwrap();
+        assert!(run(&cfg).unwrap().passed());
+        for bad in [
+            "",
+            "\"host\": {\"cores\": 0}, ",
+            "\"host\": {\"rustc\": null}, ",
+        ] {
+            std::fs::write(dir.join("BENCH_canon.json"), report(bad)).unwrap();
+            let out = run(&cfg).unwrap();
+            assert!(!out.passed(), "accepted host block {bad:?}");
+            assert!(out.render().contains("host"), "{}", out.render());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

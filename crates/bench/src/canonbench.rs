@@ -141,6 +141,50 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// The machine a report was measured on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// Cores available to the process.
+    pub cores: usize,
+    /// `rustc -V`, when `rustc` runs.
+    pub rustc: Option<String>,
+    /// `git rev-parse HEAD`, when run inside a git checkout.
+    pub git_rev: Option<String>,
+}
+
+impl Host {
+    /// Probe the current process's host.
+    pub fn probe() -> Host {
+        Host {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rustc: command_line("rustc", &["-V"]),
+            git_rev: command_line("git", &["rev-parse", "HEAD"]),
+        }
+    }
+
+    /// The `host` object of a report.
+    pub fn to_json(&self) -> String {
+        let text = |v: &Option<String>| v.as_deref().map_or("null".into(), json::escape);
+        format!(
+            "{{\"cores\": {}, \"rustc\": {}, \"git_rev\": {}}}",
+            self.cores,
+            text(&self.rustc),
+            text(&self.git_rev)
+        )
+    }
+}
+
+/// The trimmed standard output of a command that ran and succeeded.
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
 /// The full report.
 #[derive(Debug, Clone)]
 pub struct CanonBenchReport {
@@ -150,6 +194,8 @@ pub struct CanonBenchReport {
     pub elect: Vec<ElectRung>,
     /// Timed passes per measurement.
     pub repeats: usize,
+    /// Where it was measured.
+    pub host: Host,
 }
 
 impl CanonBenchReport {
@@ -267,6 +313,7 @@ impl CanonBenchReport {
         s.push_str("{\n");
         s.push_str(&json::envelope::header(CANONBENCH_SCHEMA));
         s.push_str(&format!("  \"repeats\": {},\n", self.repeats));
+        s.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         s.push_str("  \"instances\": [\n");
         s.push_str(&list(&self.instances, |i| {
             format!(
@@ -398,6 +445,7 @@ pub fn run_canonbench(cfg: &CanonBenchConfig) -> CanonBenchReport {
             .map(|&n| elect_rung(n, cfg.repeats))
             .collect(),
         repeats: cfg.repeats,
+        host: Host::probe(),
     }
 }
 
@@ -462,6 +510,38 @@ mod tests {
         assert!(json::get(&fields, "passed")
             .and_then(json::Value::as_bool)
             .is_some());
+        let host = json::get(&fields, "host")
+            .and_then(json::Value::as_object)
+            .unwrap();
+        let cores = json::get(host, "cores").and_then(json::Value::as_num);
+        assert!(cores.is_some_and(|c| c >= 1.0));
+    }
+
+    #[test]
+    fn host_block_writes_null_for_commands_that_did_not_run() {
+        let host = Host {
+            cores: 2,
+            rustc: Some("rustc 1.87.0 (\"quoted\")".into()),
+            git_rev: None,
+        };
+        let doc = format!("{{\"host\": {}}}", host.to_json());
+        let fields = json::parse(&doc).unwrap();
+        let fields = fields.as_object().unwrap();
+        let host = json::get(fields, "host")
+            .and_then(json::Value::as_object)
+            .unwrap();
+        assert_eq!(
+            json::get(host, "cores").and_then(json::Value::as_num),
+            Some(2.0)
+        );
+        assert_eq!(
+            json::get(host, "rustc").and_then(json::Value::as_str),
+            Some("rustc 1.87.0 (\"quoted\")")
+        );
+        assert!(matches!(
+            json::get(host, "git_rev"),
+            Some(json::Value::Null)
+        ));
     }
 
     #[test]

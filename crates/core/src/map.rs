@@ -187,23 +187,34 @@ impl AgentMap {
     /// An Euler-tour route over a DFS spanning tree starting and ending
     /// at `root`, visiting every node: the cheap full sweep
     /// (≤ `2(n−1)` moves) used for synchronization and announcements.
+    ///
+    /// The DFS keeps an explicit stack of `(node, next port)` frames, so
+    /// its depth is bounded by memory rather than by the thread's stack:
+    /// a path or cycle of `n` nodes is `n` frames deep.
     pub fn sweep_route(&self, root: usize) -> Vec<LocalPort> {
-        let n = self.n();
-        let mut visited = vec![false; n];
+        let mut visited = vec![false; self.n()];
         let mut route = Vec::new();
-        // Iterative DFS over tree edges.
-        fn dfs(map: &AgentMap, v: usize, visited: &mut Vec<bool>, route: &mut Vec<LocalPort>) {
-            visited[v] = true;
-            for (p, e) in map.adj[v].iter().enumerate() {
-                let e = e.expect("complete map");
-                if !visited[e.to] {
-                    route.push(LocalPort(p as u32));
-                    dfs(map, e.to, visited, route);
-                    route.push(e.far_port); // walk back up
+        visited[root] = true;
+        let mut stack = vec![(root, 0usize)];
+        while let Some(frame) = stack.last_mut() {
+            let (v, p) = *frame;
+            if p == self.adj[v].len() {
+                stack.pop();
+                if let Some(&(u, q)) = stack.last() {
+                    // Walk back up the tree edge `u` left through.
+                    let e = self.adj[u][q - 1].expect("complete map");
+                    route.push(e.far_port);
                 }
+                continue;
+            }
+            frame.1 += 1;
+            let e = self.adj[v][p].expect("complete map");
+            if !visited[e.to] {
+                visited[e.to] = true;
+                route.push(LocalPort(p as u32));
+                stack.push((e.to, 0));
             }
         }
-        dfs(self, root, &mut visited, &mut route);
         route
     }
 
@@ -276,6 +287,37 @@ mod tests {
         assert!(visited.contains(&2));
         assert_eq!(*visited.last().unwrap(), 0, "sweep returns to root");
         assert!(route.len() <= 2 * (m.n() - 1));
+    }
+
+    /// A path of `n` nodes as a complete map: node `i` reaches `i + 1`
+    /// through its last port.
+    fn path_map(n: usize) -> AgentMap {
+        let mut m = AgentMap::new();
+        for i in 0..n {
+            let degree = usize::from(i > 0) + usize::from(i + 1 < n);
+            m.add_node(degree);
+        }
+        for i in 0..n - 1 {
+            let out = LocalPort(u32::from(i > 0));
+            m.record_edge(i, out, i + 1, LocalPort(0));
+        }
+        m
+    }
+
+    #[test]
+    fn sweep_of_a_long_path_fits_a_small_stack() {
+        let n = 100_000;
+        let route = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || path_map(n).sweep_route(0))
+            .unwrap()
+            .join()
+            .expect("the sweep must not overflow a 256 KiB stack");
+        assert_eq!(route.len(), 2 * (n - 1));
+        let there = &route[..n - 1];
+        assert_eq!(there[0], LocalPort(0));
+        assert!(there[1..].iter().all(|&p| p == LocalPort(1)));
+        assert!(route[n - 1..].iter().all(|&p| p == LocalPort(0)));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! permutation search on small digraphs.
 
 use crate::digraph::ColoredDigraph;
-use crate::refine::{refine_individualized, refine_to_stable, Partition};
+use crate::refine::{refine_to_stable, Partition, Refiner, Snapshot};
 
 /// Union-find over node ids, used for orbit bookkeeping.
 #[derive(Debug, Clone)]
@@ -51,6 +51,13 @@ impl Dsu {
             v = self.parent[v];
         }
         v
+    }
+
+    /// Back to `n` singleton sets, keeping the allocation.
+    fn reset(&mut self) {
+        for (v, p) in self.parent.iter_mut().enumerate() {
+            *p = v;
+        }
     }
 
     /// Merge the sets of `a` and `b`.
@@ -109,65 +116,36 @@ pub struct CanonResult {
     pub pruned_branches: usize,
 }
 
-/// Serialize the digraph under the labeling `perm: old → new`.
-fn word_of(d: &ColoredDigraph, perm: &[usize]) -> Vec<u64> {
-    let n = d.n();
-    let mut word = Vec::with_capacity(2 + n + 3 * d.arc_count());
-    word.push(n as u64);
-    word.push(d.arc_count() as u64);
-    // Node colors in canonical position order.
-    let mut colors = vec![0u64; n];
-    for v in 0..n {
-        colors[perm[v]] = d.node_color(v);
-    }
-    word.extend_from_slice(&colors);
-    // Relabeled arcs, sorted.
-    let mut arcs: Vec<(u64, u64, u64)> = d
-        .arcs()
-        .iter()
-        .map(|a| {
-            (
-                perm[a.from as usize] as u64,
-                perm[a.to as usize] as u64,
-                a.color,
-            )
-        })
-        .collect();
-    arcs.sort_unstable();
-    for (f, t, c) in arcs {
-        word.push(f);
-        word.push(t);
-        word.push(c);
-    }
-    word
-}
-
-/// The first smallest non-singleton cell, as a sorted list of nodes.
-fn target_cell(part: &Partition) -> Option<Vec<usize>> {
-    let cells = part.cells();
-    let mut best: Option<&Vec<usize>> = None;
-    for cell in &cells {
-        if cell.len() > 1 {
-            match best {
-                None => best = Some(cell),
-                Some(b) if cell.len() < b.len() => best = Some(cell),
-                _ => {}
-            }
-        }
-    }
-    best.cloned()
+/// Per-depth scratch of the search, reused by every node at that depth:
+/// the node's partition, its target cell, and the orbits of the
+/// generators found so far that fix the prefix.
+struct Level {
+    saved: Snapshot,
+    /// The target cell's vertices, ascending (the child order).
+    targets: Vec<u32>,
+    tried: Vec<usize>,
+    orbits: Dsu,
+    /// How many generators `orbits` has seen.
+    gens_seen: usize,
+    /// Whether some generator fixing the prefix is merged into `orbits`.
+    merged: bool,
 }
 
 struct Search<'d> {
-    d: &'d ColoredDigraph,
+    r: Refiner<'d>,
+    levels: Vec<Level>,
+    prefix: Vec<usize>,
     first: Option<(Vec<u64>, Vec<usize>)>,
     best: Option<(Vec<u64>, Vec<usize>)>,
+    /// The current leaf's word.
+    word: Vec<u64>,
+    /// Arc keys of one cell, sorted before they are emitted.
+    keys: Vec<u64>,
     generators: Vec<Vec<usize>>,
     leaves: usize,
     /// Hard cap on leaves, to keep pathological inputs from hanging; the
     /// cap is far above anything the experiments reach and is reported.
     leaf_cap: usize,
-    capped: bool,
     /// Quotient-word lower-bound pruning. Enabled only for uncapped
     /// searches: under a finite leaf cap, pruning would change *which*
     /// leaves are reached before the cap fires, so capped searches run
@@ -176,159 +154,217 @@ struct Search<'d> {
     pruned: usize,
 }
 
-impl<'d> Search<'d> {
-    fn leaf(&mut self, part: &Partition) {
-        self.leaves += 1;
-        let perm: Vec<usize> = part.class.iter().map(|&c| c as usize).collect();
-        let word = word_of(self.d, &perm);
-        if let Some((fw, fp)) = &self.first {
-            if word == *fw {
-                self.harvest(fp.clone(), &perm);
-            }
-        }
-        match &self.best {
-            None => {
-                self.first = Some((word.clone(), perm.clone()));
-                self.best = Some((word, perm));
-            }
-            Some((bw, bp)) => {
-                if word < *bw {
-                    self.best = Some((word, perm));
-                } else if word == *bw {
-                    let bp = bp.clone();
-                    self.harvest(bp, &perm);
-                }
-            }
-        }
+/// Two leaves with equal words compose into an automorphism `old →
+/// old`: the earlier leaf's labeling `p1`, then the inverse of the
+/// current leaf's, which is its position array `lab`.
+fn harvest(d: &ColoredDigraph, lab: &[u32], p1: &[usize], generators: &mut Vec<Vec<usize>>) {
+    let auto: Vec<usize> = p1.iter().map(|&p| lab[p] as usize).collect();
+    if auto.iter().enumerate().all(|(v, &img)| v == img) {
+        return; // identity
     }
-
-    /// Two labelings with identical words compose into an automorphism:
-    /// `a = p2^{-1} ∘ p1` maps old → old.
-    fn harvest(&mut self, p1: Vec<usize>, p2: &[usize]) {
-        let n = self.d.n();
-        let mut inv2 = vec![0usize; n];
-        for (v, &img) in p2.iter().enumerate() {
-            inv2[img] = v;
-        }
-        let auto: Vec<usize> = (0..n).map(|v| inv2[p1[v]]).collect();
-        if auto.iter().enumerate().all(|(v, &img)| v == img) {
-            return; // identity
-        }
-        debug_assert!(self.d.is_automorphism(&auto));
-        if !self.generators.contains(&auto) {
-            self.generators.push(auto);
-        }
+    debug_assert!(d.is_automorphism(&auto));
+    if !generators.contains(&auto) {
+        generators.push(auto);
     }
+}
 
-    /// Orbits of the subgroup generated by the discovered generators that
-    /// fix `prefix` pointwise.
-    fn prefix_orbits(&self, prefix: &[usize]) -> Dsu {
-        let n = self.d.n();
-        let mut dsu = Dsu::new(n);
-        for g in &self.generators {
-            if prefix.iter().all(|&v| g[v] == v) {
-                for (v, &gv) in g.iter().enumerate() {
-                    dsu.union(v, gv);
-                }
-            }
-        }
-        dsu
+/// Emit the quotient word of the refiner's partition into `sink`, until
+/// it returns `false`: `n`, the arc count, the node colors in position
+/// order, then every arc as `(tail's cell start, head's cell start,
+/// color)`, sorted. The arcs are emitted cell by cell in position order,
+/// sorting one cell's arcs at a time. On a discrete partition the cell
+/// starts are the positions, so this is the leaf's word: the digraph
+/// serialized under the labeling `v → cell[v]`.
+fn quotient_word(r: &Refiner, keys: &mut Vec<u64>, mut sink: impl FnMut(u64) -> bool) {
+    let d = r.digraph();
+    if !(sink(d.n() as u64) && sink(d.arc_count() as u64)) {
+        return;
     }
-
-    /// A lower bound on every leaf word emittable below the stable
-    /// partition `part`, in the same `u64`-word format as [`word_of`].
-    ///
-    /// Every leaf below `part` places the nodes of cell `i` at positions
-    /// `[start_i, start_i + |C_i|)` (the `(old class, signature)` sort
-    /// key keeps subcells contiguous and in cell order), and refinement
-    /// never mixes node colors inside a cell, so the color section is
-    /// *exactly* the leaf's. Each leaf arc triple `(pos(from), pos(to),
-    /// color)` dominates `(start(cell(from)), start(cell(to)), color)`
-    /// componentwise, and the sorted-multiset/flattening steps preserve
-    /// the domination lexicographically (DESIGN §13). Hence if this word
-    /// already exceeds the first leaf's word, no leaf below can equal or
-    /// beat `first` or `best`, and the subtree is invisible to the
-    /// search result.
-    fn quotient_lower_bound(&self, part: &Partition) -> Vec<u64> {
-        let d = self.d;
-        let n = d.n();
-        let sizes = part.sizes();
-        let mut start = vec![0u64; part.k];
-        let mut acc = 0u64;
-        for (c, &s) in sizes.iter().enumerate() {
-            start[c] = acc;
-            acc += s as u64;
-        }
-        let mut word = Vec::with_capacity(2 + n + 3 * d.arc_count());
-        word.push(n as u64);
-        word.push(d.arc_count() as u64);
-        let mut colors = vec![0u64; n];
-        let mut next = start.clone();
-        for v in 0..n {
-            let c = part.class[v] as usize;
-            colors[next[c] as usize] = d.node_color(v);
-            next[c] += 1;
-        }
-        word.extend_from_slice(&colors);
-        let mut arcs: Vec<(u64, u64, u64)> = d
-            .arcs()
-            .iter()
-            .map(|a| {
-                (
-                    start[part.class[a.from as usize] as usize],
-                    start[part.class[a.to as usize] as usize],
-                    a.color,
-                )
-            })
-            .collect();
-        arcs.sort_unstable();
-        for (f, t, c) in arcs {
-            word.push(f);
-            word.push(t);
-            word.push(c);
-        }
-        word
-    }
-
-    /// Recurse on a *stable* partition (the caller refines: the root via
-    /// `refine_to_stable`, children via [`refine_individualized`]).
-    fn recurse(&mut self, part: &Partition, prefix: &mut Vec<usize>) {
-        if self.leaves >= self.leaf_cap {
-            self.capped = true;
+    for &v in &r.lab {
+        if !sink(d.node_color(v as usize)) {
             return;
         }
-        match target_cell(part) {
-            None => self.leaf(part),
-            Some(cell) => {
-                if self.prune {
-                    if let Some((fw, _)) = &self.first {
-                        if self.quotient_lower_bound(part) > *fw {
-                            self.pruned += 1;
-                            return;
-                        }
-                    }
+    }
+    let mut s = 0;
+    while s < r.lab.len() {
+        let l = r.len[s] as usize;
+        // Each out-arc as `head's cell start << 32 | color rank`.
+        keys.clear();
+        for &v in &r.lab[s..s + l] {
+            keys.extend(
+                r.out_entries(v as usize)
+                    .iter()
+                    .map(|&e| u64::from(r.cell[e as u32 as usize]) << 32 | e >> 32),
+            );
+        }
+        keys.sort_unstable();
+        for &k in keys.iter() {
+            for x in [s as u64, k >> 32, r.color(k & 0xffff_ffff)] {
+                if !sink(x) {
+                    return;
                 }
-                let mut tried: Vec<usize> = Vec::new();
-                for &v in &cell {
-                    // Orbit pruning: skip v if an already-tried vertex of
-                    // this cell lies in the same orbit of the prefix
-                    // stabilizer (the pruned subtree would replay an
-                    // explored one through a known automorphism).
-                    let mut dsu = self.prefix_orbits(prefix);
-                    let rv = dsu.find(v);
-                    if tried.iter().any(|&u| dsu.find(u) == rv) {
-                        continue;
-                    }
-                    tried.push(v);
-                    let child = refine_individualized(self.d, part, v);
-                    prefix.push(v);
-                    self.recurse(&child, prefix);
-                    prefix.pop();
-                    if self.leaves >= self.leaf_cap {
-                        self.capped = true;
-                        return;
-                    }
+            }
+        }
+        s += l;
+    }
+}
+
+impl Search<'_> {
+    /// The first smallest non-singleton cell, as `(start, size)`.
+    fn target_cell(&self) -> Option<(usize, usize)> {
+        let n = self.r.lab.len();
+        let mut best: Option<(usize, usize)> = None;
+        let mut s = 0;
+        while s < n {
+            let l = self.r.len[s] as usize;
+            if l > 1 && best.is_none_or(|(_, b)| l < b) {
+                best = Some((s, l));
+            }
+            s += l;
+        }
+        best
+    }
+
+    fn leaf(&mut self) {
+        self.leaves += 1;
+        self.word.clear();
+        quotient_word(&self.r, &mut self.keys, |x| {
+            self.word.push(x);
+            true
+        });
+        let d = self.r.digraph();
+        if let Some((fw, fp)) = &self.first {
+            if self.word == *fw {
+                harvest(d, &self.r.lab, fp, &mut self.generators);
+            }
+        }
+        match self.best.as_mut() {
+            None => {
+                let perm: Vec<usize> = self.r.cell.iter().map(|&p| p as usize).collect();
+                self.first = Some((self.word.clone(), perm.clone()));
+                self.best = Some((self.word.clone(), perm));
+            }
+            Some((bw, bp)) => {
+                if self.word < *bw {
+                    bw.clone_from(&self.word);
+                    bp.clear();
+                    bp.extend(self.r.cell.iter().map(|&p| p as usize));
+                } else if self.word == *bw {
+                    harvest(d, &self.r.lab, bp, &mut self.generators);
                 }
+            }
+        }
+    }
+
+    /// Whether the quotient word of the current stable partition, a
+    /// lower bound on every leaf word below it, exceeds the first leaf's
+    /// word.
+    ///
+    /// Every leaf below places the nodes of the cell starting at `s` at
+    /// positions `[s, s + size)` (refinement keeps subcells contiguous
+    /// and in cell order), and refinement never mixes node colors inside
+    /// a cell, so the color section is *exactly* the leaf's. Each leaf
+    /// arc triple `(pos(from), pos(to), color)` dominates `(start of
+    /// from's cell, start of to's cell, color)` componentwise, and the
+    /// sorted-multiset/flattening steps preserve the domination
+    /// lexicographically (DESIGN §13). Hence if this word exceeds the
+    /// first leaf's word, no leaf below can equal `first` or beat
+    /// `best`, and the subtree is invisible to the search result. The
+    /// words are compared as the bound is emitted: the first difference
+    /// decides.
+    fn bound_exceeds_first(&mut self) -> bool {
+        let Some((fw, _)) = &self.first else {
+            return false;
+        };
+        let (mut i, mut exceeds) = (0, false);
+        quotient_word(&self.r, &mut self.keys, |x| {
+            if x != fw[i] {
+                exceeds = x > fw[i];
+                return false;
+            }
+            i += 1;
+            true
+        });
+        exceeds
+    }
+
+    /// Orbit pruning: whether `v` is the first vertex of the target cell
+    /// tried in its orbit under the generators found so far that fix the
+    /// prefix (a later one's subtree would replay an explored one
+    /// through a known automorphism). Records `v` as tried if so.
+    fn first_of_its_orbit(&mut self, depth: usize, v: usize) -> bool {
+        let level = &mut self.levels[depth];
+        for g in &self.generators[level.gens_seen..] {
+            if self.prefix.iter().all(|&p| g[p] == p) {
+                for (x, &gx) in g.iter().enumerate() {
+                    level.orbits.union(x, gx);
+                }
+                level.merged = true;
+            }
+        }
+        level.gens_seen = self.generators.len();
+        if level.merged {
+            let rv = level.orbits.find(v);
+            if level.tried.iter().any(|&u| level.orbits.find(u) == rv) {
+                return false;
+            }
+        }
+        level.tried.push(v);
+        true
+    }
+
+    /// Search below the refiner's current *stable* partition (the
+    /// caller refined it), `depth` individualizations from the root.
+    fn recurse(&mut self, depth: usize) {
+        if self.leaves >= self.leaf_cap {
+            return;
+        }
+        let Some((s, l)) = self.target_cell() else {
+            self.leaf();
+            return;
+        };
+        if self.prune && self.bound_exceeds_first() {
+            self.pruned += 1;
+            return;
+        }
+        if self.levels.len() == depth {
+            let n = self.r.lab.len();
+            self.levels.push(Level {
+                saved: Snapshot::default(),
+                targets: Vec::new(),
+                tried: Vec::new(),
+                orbits: Dsu::new(n),
+                gens_seen: 0,
+                merged: false,
+            });
+        }
+        let level = &mut self.levels[depth];
+        self.r.save(&mut level.saved);
+        level.targets.clear();
+        level.targets.extend_from_slice(&self.r.lab[s..s + l]);
+        level.targets.sort_unstable();
+        level.tried.clear();
+        level.orbits.reset();
+        level.gens_seen = 0;
+        level.merged = false;
+        // The refiner holds this node's partition until the first child.
+        let mut fresh = true;
+        for i in 0..l {
+            let v = self.levels[depth].targets[i] as usize;
+            if !self.first_of_its_orbit(depth, v) {
+                continue;
+            }
+            if !fresh {
+                self.r.restore(&self.levels[depth].saved);
+            }
+            fresh = false;
+            self.r.individualize(v);
+            self.r.refine();
+            self.prefix.push(v);
+            self.recurse(depth + 1);
+            self.prefix.pop();
+            if self.leaves >= self.leaf_cap {
+                return;
             }
         }
     }
@@ -346,21 +382,24 @@ pub fn canonicalize(d: &ColoredDigraph) -> CanonResult {
 /// equals the cap in that case. Capped searches disable lower-bound
 /// pruning so they stay byte-identical to the frozen oracle.
 pub fn canonicalize_with_cap(d: &ColoredDigraph, leaf_cap: usize) -> CanonResult {
-    let initial = Partition::from_keys(d.node_colors());
-    let root = refine_to_stable(d, Some(initial));
+    let mut r = Refiner::new(d);
+    r.init(&Partition::from_keys(d.node_colors()));
+    r.refine();
     let mut search = Search {
-        d,
+        r,
+        levels: Vec::new(),
+        prefix: Vec::new(),
         first: None,
         best: None,
+        word: Vec::new(),
+        keys: Vec::new(),
         generators: Vec::new(),
         leaves: 0,
         leaf_cap,
-        capped: false,
         prune: leaf_cap == usize::MAX,
         pruned: 0,
     };
-    let mut prefix = Vec::new();
-    search.recurse(&root, &mut prefix);
+    search.recurse(0);
     let (word, labeling) = search.best.expect("at least one leaf");
     let mut dsu = Dsu::new(d.n());
     for g in &search.generators {
@@ -468,7 +507,9 @@ pub fn brute_force_canonical_form(d: &ColoredDigraph) -> CanonicalForm {
     let mut best: Option<Vec<u64>> = None;
     fn heaps(k: usize, perm: &mut Vec<usize>, d: &ColoredDigraph, best: &mut Option<Vec<u64>>) {
         if k == 1 {
-            let w = word_of(d, perm);
+            // The word under `perm` is the exact encoding of the relabeled
+            // digraph, whose arcs `relabel` sorts.
+            let w = crate::cache::encode_digraph(&d.relabel(perm));
             match best {
                 None => *best = Some(w),
                 Some(b) => {
@@ -725,6 +766,38 @@ mod tests {
             assert_eq!(fast.orbit_count, slow.orbit_count);
             // Pruning may only *remove* visited leaves, never add.
             assert!(fast.leaves_visited <= slow.leaves_visited);
+        }
+    }
+
+    /// Arc colors wider than 31 bits go through the refiner's palette,
+    /// and the words must carry the colors themselves; self-loops and
+    /// parallel arcs are legal input.
+    #[test]
+    fn wide_colors_loops_and_parallel_arcs_match_the_oracle() {
+        let mut x = 11u64;
+        for n in [4usize, 7, 10] {
+            let mut arcs = Vec::new();
+            for _ in 0..3 * n {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (from, to) = (((x >> 33) % n as u64) as u32, ((x >> 13) % n as u64) as u32);
+                let color = [3, 1 << 31, u64::MAX][(x >> 61) as usize % 3];
+                // Both directions, so the search has symmetry to find.
+                arcs.push(Arc { from, to, color });
+                arcs.push(Arc {
+                    from: to,
+                    to: from,
+                    color,
+                });
+            }
+            let d = ColoredDigraph::new(vec![0; n], arcs);
+            let fast = canonicalize(&d);
+            let slow = crate::oracle::canonicalize(&d);
+            assert_eq!(fast.form, slow.form, "n={n}");
+            assert_eq!(fast.labeling, slow.labeling, "n={n}");
+            assert_eq!(fast.generators, slow.generators, "n={n}");
+            assert_eq!(fast.orbits, slow.orbits, "n={n}");
         }
     }
 

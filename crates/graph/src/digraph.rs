@@ -30,15 +30,19 @@ pub struct Arc {
 }
 
 /// A node- and arc-colored directed multigraph.
+///
+/// Adjacency is stored flat (CSR): the arcs are sorted by tail, so the
+/// out-arcs of `v` are the range `arcs[out_start[v]..out_start[v + 1]]`,
+/// and `in_arcs[in_start[v]..in_start[v + 1]]` lists the indices of the
+/// in-arcs of `v` in ascending order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColoredDigraph {
     n: usize,
     node_colors: Vec<u64>,
     arcs: Vec<Arc>,
-    /// Outgoing arcs per node (indices into `arcs`), sorted.
-    out: Vec<Vec<u32>>,
-    /// Incoming arcs per node (indices into `arcs`), sorted.
-    inc: Vec<Vec<u32>>,
+    out_start: Vec<u32>,
+    in_start: Vec<u32>,
+    in_arcs: Vec<u32>,
 }
 
 impl ColoredDigraph {
@@ -46,25 +50,52 @@ impl ColoredDigraph {
     ///
     /// Duplicate arcs are permitted (multi-digraph). Panics if an arc
     /// references a node out of range.
-    pub fn new(node_colors: Vec<u64>, mut arcs: Vec<Arc>) -> Self {
+    pub fn new(node_colors: Vec<u64>, arcs: Vec<Arc>) -> Self {
         let n = node_colors.len();
-        arcs.sort_unstable();
-        let mut out = vec![Vec::new(); n];
-        let mut inc = vec![Vec::new(); n];
-        for (i, a) in arcs.iter().enumerate() {
+        assert!(u32::try_from(arcs.len()).is_ok(), "too many arcs");
+        let mut out_start = vec![0u32; n + 1];
+        let mut in_start = vec![0u32; n + 1];
+        for a in &arcs {
             assert!(
                 (a.from as usize) < n && (a.to as usize) < n,
                 "arc out of range"
             );
-            out[a.from as usize].push(i as u32);
-            inc[a.to as usize].push(i as u32);
+            out_start[a.from as usize + 1] += 1;
+            in_start[a.to as usize + 1] += 1;
+        }
+        for v in 0..n {
+            out_start[v + 1] += out_start[v];
+            in_start[v + 1] += in_start[v];
+        }
+        // Sort by tail with one counting pass, then each tail's run by
+        // (head, color): the same order as sorting the whole list.
+        let arcs = if arcs.is_sorted() {
+            arcs
+        } else {
+            let mut sorted = vec![arcs[0]; arcs.len()];
+            let mut next = out_start.clone();
+            for a in arcs {
+                sorted[next[a.from as usize] as usize] = a;
+                next[a.from as usize] += 1;
+            }
+            for v in 0..n {
+                sorted[out_start[v] as usize..out_start[v + 1] as usize].sort_unstable();
+            }
+            sorted
+        };
+        let mut in_arcs = vec![0u32; arcs.len()];
+        let mut next = in_start.clone();
+        for (i, a) in arcs.iter().enumerate() {
+            in_arcs[next[a.to as usize] as usize] = i as u32;
+            next[a.to as usize] += 1;
         }
         ColoredDigraph {
             n,
             node_colors,
             arcs,
-            out,
-            inc,
+            out_start,
+            in_start,
+            in_arcs,
         }
     }
 
@@ -98,26 +129,28 @@ impl ColoredDigraph {
         &self.node_colors
     }
 
-    /// Outgoing arcs of `v`.
+    /// Outgoing arcs of `v`, sorted by `(to, color)`.
     pub fn out_arcs(&self, v: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.out[v].iter().map(move |&i| &self.arcs[i as usize])
+        self.arcs[self.out_start[v] as usize..self.out_start[v + 1] as usize].iter()
     }
 
-    /// Incoming arcs of `v`.
+    /// Incoming arcs of `v`, sorted by `(from, color)`.
     pub fn in_arcs(&self, v: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.inc[v].iter().map(move |&i| &self.arcs[i as usize])
+        self.in_arcs[self.in_start[v] as usize..self.in_start[v + 1] as usize]
+            .iter()
+            .map(move |&i| &self.arcs[i as usize])
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: usize) -> usize {
-        self.inc[v].len()
+        (self.in_start[v + 1] - self.in_start[v]) as usize
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: usize) -> usize {
-        self.out[v].len()
+        (self.out_start[v + 1] - self.out_start[v]) as usize
     }
 
     /// Check whether `perm` (as a mapping `v → perm[v]`) is an automorphism:

@@ -14,25 +14,32 @@
 //! the partition isomorphism-invariant: two nodes of isomorphic digraphs
 //! receive the same class index sequence.
 //!
-//! ### The worklist kernel (DESIGN §13)
+//! ### The flat kernel (DESIGN §13)
 //!
-//! [`refine_to_stable`] no longer re-sorts every node's signature every
-//! round. It runs the *same synchronous rounds* as the original loop
-//! (frozen in [`crate::oracle`]) but only recomputes signatures inside
-//! cells *touched* by the previous round — cells containing a node with
-//! an in- or out-neighbor in a cell that just split. Untouched cells
-//! provably cannot split: their members' signatures reference only
-//! classes whose numbering changed by a strictly monotone map, and
-//! signature comparisons are invariant under entrywise monotone
-//! renumbering. The produced [`Partition`] is therefore *byte-identical*
-//! to the original loop's for every input — the differential suite
-//! (`tests/differential_canon.rs`) pins this against the frozen oracle.
+//! [`refine_to_stable`] runs the *same synchronous rounds* as the
+//! original loop (frozen in [`crate::oracle`]), on flat arrays that one
+//! `Refiner` allocates once per digraph:
 //!
-//! [`refine_individualized`] is the individualization-refinement fast
-//! path on the same engine: when the starting partition is a stable
-//! partition with one vertex split off, only cells adjacent to that
-//! vertex's old cell can split in round one, so the first round is
-//! seeded with that light cone instead of every cell.
+//! * a cell is a range of one permutation array, labeled by its start
+//!   position. Starts increase in cell order, so every comparison sees a
+//!   monotone image of the compact class numbering and decides each
+//!   split as the oracle does;
+//! * a round recomputes signatures only for *dirty* nodes, packed as
+//!   `u64` keys (direction, arc-color rank, cell start) into one buffer.
+//!   When a cell splits, the neighbors of every subcell but the largest
+//!   become dirty. A clean node has no arc into those subcells, so its
+//!   signature changed exactly as each of its clean cellmates' did, and
+//!   the clean members of a cell still share one signature;
+//! * a cell splits by sorting only its dirty members and placing the
+//!   clean block by one representative signature. The clean block stays
+//!   in place, and keeps the parent's start label unless some dirty
+//!   member sorts before it.
+//!
+//! The compact numbering is materialized once at exit, so the produced
+//! [`Partition`] is *byte-identical* to the original loop's for every
+//! input; `tests/differential_canon.rs` pins this against the oracle.
+//! The IR search in [`crate::canon`] drives the same `Refiner`:
+//! individualizing a vertex dirties only its neighbors.
 
 use crate::digraph::ColoredDigraph;
 use std::collections::BTreeMap;
@@ -115,211 +122,409 @@ pub fn refine_once(d: &ColoredDigraph, part: &Partition) -> (Partition, bool) {
     (next, changed)
 }
 
-/// Split one cell by member signatures under the *current* class vector.
-/// Returns the ordered subcells (signature-ascending; each subcell keeps
-/// its members sorted) — exactly the per-cell grouping the original
-/// `(old class, signature)` sort produced, because the old class is the
-/// sort's primary key and this cell is one old class.
-fn split_cell(d: &ColoredDigraph, class: &[u32], cell: &[usize]) -> Vec<Vec<usize>> {
-    let mut keyed: Vec<(Vec<SigEntry>, usize)> =
-        cell.iter().map(|&v| (signature(d, class, v), v)).collect();
-    keyed.sort();
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let mut j = i + 1;
-        while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-            j += 1;
-        }
-        out.push(keyed[i..j].iter().map(|&(_, v)| v).collect());
-        i = j;
-    }
-    out
+/// The upper half of a packed neighbor entry: the direction bit over
+/// the arc color's rank. A signature key keeps it and puts the other
+/// end's cell start in the lower half, where the entry has the node.
+const KEY_MASK: u64 = !0xffff_ffff;
+/// Direction bit of an incoming arc: in-arcs sort after out-arcs, as in
+/// the oracle's `(direction, color, class)` signature entries.
+const INCOMING: u64 = 1 << 63;
+
+/// A dirty member of the cell being split: the range of its signature
+/// keys in the signature buffer, and the node.
+type Keyed = (u32, u32, u32);
+
+/// The signature keys of a dirty member.
+fn keys<'a>(sigs: &'a [u64], member: &Keyed) -> &'a [u64] {
+    &sigs[member.0 as usize..member.1 as usize]
 }
 
-/// [`split_cell`], recomputing signatures only for `dirty` members.
-///
-/// Sound only under the worklist invariant (DESIGN §13): every clean
-/// member's signature is the entrywise monotone image of last round's,
-/// and a surviving cell's members all compared equal last round — so the
-/// clean members share *one* signature this round, and one representative
-/// computation places the whole clean block among the recomputed dirty
-/// members. Byte-identical to [`split_cell`] whenever that invariant
-/// holds; callers that cannot establish it must mark every member dirty.
-fn split_cell_partial(
-    d: &ColoredDigraph,
-    class: &[u32],
-    cell: &[usize],
-    dirty: &[bool],
-) -> Vec<Vec<usize>> {
-    let clean: Vec<usize> = cell.iter().copied().filter(|&v| !dirty[v]).collect();
-    if clean.len() < 2 {
-        // Nothing saved by the representative trick — fall back.
-        return split_cell(d, class, cell);
-    }
-    let mut keyed: Vec<(Vec<SigEntry>, usize)> = cell
-        .iter()
-        .copied()
-        .filter(|&v| dirty[v])
-        .map(|v| (signature(d, class, v), v))
-        .collect();
-    keyed.sort();
-    // Group the dirty members into signature runs (ascending, members
-    // node-sorted within a run — `keyed` ties break by node id).
-    let mut runs: Vec<(Vec<SigEntry>, Vec<usize>)> = Vec::new();
-    for (sig, v) in keyed {
-        match runs.last_mut() {
-            Some((s, vs)) if *s == sig => vs.push(v),
-            _ => runs.push((sig, vec![v])),
-        }
-    }
-    // Place the clean block (one shared signature) at its sorted slot,
-    // merging by node id if a dirty run has the same signature.
-    let rep = signature(d, class, clean[0]);
-    let pos = runs.partition_point(|(s, _)| *s < rep);
-    if pos < runs.len() && runs[pos].0 == rep {
-        let mut merged = Vec::with_capacity(runs[pos].1.len() + clean.len());
-        let (mut i, mut j) = (0, 0);
-        while i < runs[pos].1.len() && j < clean.len() {
-            if runs[pos].1[i] < clean[j] {
-                merged.push(runs[pos].1[i]);
-                i += 1;
-            } else {
-                merged.push(clean[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&runs[pos].1[i..]);
-        merged.extend_from_slice(&clean[j..]);
-        runs[pos].1 = merged;
-    } else {
-        runs.insert(pos, (rep, clean));
-    }
-    runs.into_iter().map(|(_, vs)| vs).collect()
+/// One subcell of a round's split, applied once every split of the
+/// round is decided (rounds are synchronous).
+#[derive(Clone, Copy)]
+struct Split {
+    start: u32,
+    len: u32,
+    /// Its start is not the parent's, so its members change label.
+    relabel: bool,
+    /// Its members' neighbors become dirty: every subcell but the
+    /// largest.
+    mark: bool,
 }
 
-/// The worklist engine shared by every stable-refinement entry point:
-/// runs synchronous rounds, recomputing signatures only for `dirty`
-/// nodes (one representative stands in for each cell's clean block, see
-/// [`split_cell_partial`]), until a round produces no split. Round one
-/// must mark every node whose signature is not known-equal to its
-/// cellmates' dirty; all nodes is always safe.
-///
-/// Internally each cell is labeled by its *start index* in class order
-/// rather than its compact class number: starts are strictly increasing
-/// in cell order, so every signature comparison sees an entrywise
-/// monotone relabeling of the compact numbering and decides splits
-/// identically, while a split only ever rewrites the split cell's own
-/// range — unsplit cells are never copied, cloned, or renumbered. The
-/// compact numbering is materialized once at exit, keeping the result
-/// byte-identical to iterating [`refine_once`] (see module docs).
-fn refine_worklist(
-    d: &ColoredDigraph,
-    init_cells: Vec<Vec<usize>>,
-    mut dirty_nodes: Vec<usize>,
-) -> Partition {
-    let n = d.n();
-    if n == 0 {
-        return Partition {
-            class: Vec::new(),
-            k: 0,
+/// The cell arrays of a partition, saved and restored by the IR search
+/// around each child.
+#[derive(Default)]
+pub(crate) struct Snapshot {
+    lab: Vec<u32>,
+    pos: Vec<u32>,
+    cell: Vec<u32>,
+    len: Vec<u32>,
+}
+
+/// Refinement state for one digraph: the current partition as cells
+/// over a permutation array, plus every scratch buffer a round needs.
+/// Nothing is allocated after construction except the buffers' growth.
+pub(crate) struct Refiner<'d> {
+    d: &'d ColoredDigraph,
+    /// `nbr[nbr_start[v]..nbr_start[v + 1]]`: the out-arcs of `v` in the
+    /// digraph's order, then its in-arcs, each packed as `direction |
+    /// color rank << 32 | other end`.
+    nbr_start: Vec<u32>,
+    nbr: Vec<u64>,
+    /// The arc color of each rank, when some color does not fit in 31
+    /// bits; otherwise every color is its own rank.
+    palette: Option<Vec<u64>>,
+    /// The node at each position; every cell is a range of it.
+    pub(crate) lab: Vec<u32>,
+    /// The position of each node in `lab`.
+    pos: Vec<u32>,
+    /// Each node's cell label: its cell's start position.
+    pub(crate) cell: Vec<u32>,
+    /// `len[s]`: the size of the cell starting at `s` (stale elsewhere).
+    pub(crate) len: Vec<u32>,
+    /// Nodes whose signature may differ from their cellmates'.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+    /// Per cell start: its dirty members, moved to the back of the cell.
+    moved: Vec<u32>,
+    touched: Vec<u32>,
+    /// Signature keys of the dirty members of the cell being split.
+    sigs: Vec<u64>,
+    keyed: Vec<Keyed>,
+    splits: Vec<Split>,
+}
+
+impl<'d> Refiner<'d> {
+    /// Scratch for refining `d`; [`Refiner::init`] loads a partition.
+    pub(crate) fn new(d: &'d ColoredDigraph) -> Self {
+        let n = d.n();
+        assert!(u32::try_from(n).is_ok(), "too many nodes");
+        let palette = d.arcs().iter().any(|a| a.color >= 1 << 31).then(|| {
+            let mut colors: Vec<u64> = d.arcs().iter().map(|a| a.color).collect();
+            colors.sort_unstable();
+            colors.dedup();
+            assert!(colors.len() <= 1 << 31, "too many arc colors");
+            colors
+        });
+        let rank = |color: u64| match &palette {
+            None => color,
+            Some(p) => p.binary_search(&color).expect("color in palette") as u64,
         };
-    }
-    // `members[s]` = the cell starting at position `s` (empty slot
-    // otherwise); `class[v]` = start of `v`'s cell. Members ascending.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut class: Vec<u32> = vec![0; n];
-    {
-        let mut s = 0usize;
-        for cell in init_cells {
-            for &v in &cell {
-                class[v] = s as u32;
+        let mut nbr_start = Vec::with_capacity(n + 1);
+        let mut nbr = Vec::with_capacity(2 * d.arc_count());
+        nbr_start.push(0);
+        for v in 0..n {
+            for a in d.out_arcs(v) {
+                nbr.push(rank(a.color) << 32 | u64::from(a.to));
             }
-            let len = cell.len();
-            members[s] = cell;
-            s += len;
+            for a in d.in_arcs(v) {
+                nbr.push(INCOMING | rank(a.color) << 32 | u64::from(a.from));
+            }
+            nbr_start.push(nbr.len() as u32);
+        }
+        Refiner {
+            d,
+            nbr_start,
+            nbr,
+            palette,
+            lab: vec![0; n],
+            pos: vec![0; n],
+            cell: vec![0; n],
+            len: vec![0; n],
+            dirty: Vec::with_capacity(n),
+            is_dirty: vec![false; n],
+            moved: vec![0; n],
+            touched: Vec::new(),
+            sigs: Vec::new(),
+            keyed: Vec::new(),
+            splits: Vec::new(),
         }
     }
-    let mut dirty = vec![false; n];
-    let mut touched_mark = vec![false; n];
-    loop {
-        for &v in &dirty_nodes {
-            dirty[v] = true;
+
+    /// The digraph being refined.
+    pub(crate) fn digraph(&self) -> &'d ColoredDigraph {
+        self.d
+    }
+
+    /// Load the normalized partition `part`, with every node dirty.
+    pub(crate) fn init(&mut self, part: &Partition) {
+        let mut start = vec![0u32; part.k + 1];
+        for &c in &part.class {
+            start[c as usize + 1] += 1;
         }
-        let mut touched: Vec<usize> = Vec::new();
-        for &v in &dirty_nodes {
-            let s = class[v] as usize;
-            if !touched_mark[s] {
-                touched_mark[s] = true;
-                touched.push(s);
+        for c in 0..part.k {
+            start[c + 1] += start[c];
+            self.len[start[c] as usize] = start[c + 1] - start[c];
+        }
+        let mut next = start.clone();
+        for (v, &c) in part.class.iter().enumerate() {
+            let p = next[c as usize];
+            next[c as usize] += 1;
+            self.lab[p as usize] = v as u32;
+            self.pos[v] = p;
+            self.cell[v] = start[c as usize];
+        }
+        self.dirty.clear();
+        self.dirty.extend(0..part.class.len() as u32);
+        self.is_dirty.fill(true);
+    }
+
+    /// The current partition, numbered compactly in cell order.
+    pub(crate) fn partition(&self) -> Partition {
+        let n = self.d.n();
+        let mut class = vec![0u32; n];
+        let (mut k, mut s) = (0, 0);
+        while s < n {
+            let l = self.len[s] as usize;
+            for &v in &self.lab[s..s + l] {
+                class[v as usize] = k;
+            }
+            k += 1;
+            s += l;
+        }
+        Partition {
+            class,
+            k: k as usize,
+        }
+    }
+
+    /// The out-arcs of `v` as packed entries (color rank in the upper
+    /// half, head in the lower), in the digraph's `(to, color)` order.
+    pub(crate) fn out_entries(&self, v: usize) -> &[u64] {
+        let lo = self.nbr_start[v] as usize;
+        &self.nbr[lo..lo + self.d.out_degree(v)]
+    }
+
+    /// The arc color of a rank.
+    pub(crate) fn color(&self, rank: u64) -> u64 {
+        match &self.palette {
+            None => rank,
+            Some(p) => p[rank as usize],
+        }
+    }
+
+    /// Copy the cell arrays into `to`.
+    pub(crate) fn save(&self, to: &mut Snapshot) {
+        for (dst, src) in [
+            (&mut to.lab, &self.lab),
+            (&mut to.pos, &self.pos),
+            (&mut to.cell, &self.cell),
+            (&mut to.len, &self.len),
+        ] {
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+    }
+
+    /// Return to the partition saved in `from` (no node is dirty
+    /// between refinements, so the cell arrays are the whole state).
+    pub(crate) fn restore(&mut self, from: &Snapshot) {
+        self.lab.copy_from_slice(&from.lab);
+        self.pos.copy_from_slice(&from.pos);
+        self.cell.copy_from_slice(&from.cell);
+        self.len.copy_from_slice(&from.len);
+    }
+
+    /// Split `v` off the front of its (non-singleton) cell, as the
+    /// oracle's individualization orders it. Only `v`'s neighbors become
+    /// dirty: the rest of the cell is the subcell left out.
+    pub(crate) fn individualize(&mut self, v: usize) {
+        let s = self.cell[v];
+        let l = self.len[s as usize];
+        debug_assert!(l > 1, "individualizing a singleton");
+        self.place(v as u32, s);
+        self.len[s as usize] = 1;
+        self.len[s as usize + 1] = l - 1;
+        for p in s + 1..s + l {
+            self.cell[self.lab[p as usize] as usize] = s + 1;
+        }
+        self.mark_neighbors(v);
+    }
+
+    /// Run synchronous rounds until one splits nothing.
+    pub(crate) fn refine(&mut self) {
+        while !self.dirty.is_empty() {
+            self.gather_dirty();
+            for i in 0..self.touched.len() {
+                self.split(self.touched[i]);
+            }
+            self.touched.clear();
+            self.apply_splits();
+        }
+    }
+
+    /// Swap `v` into position `p`.
+    fn place(&mut self, v: u32, p: u32) {
+        let q = self.pos[v as usize];
+        let w = self.lab[p as usize];
+        self.lab[p as usize] = v;
+        self.pos[v as usize] = p;
+        self.lab[q as usize] = w;
+        self.pos[w as usize] = q;
+    }
+
+    fn mark_neighbors(&mut self, v: usize) {
+        let (lo, hi) = (self.nbr_start[v], self.nbr_start[v + 1]);
+        for &e in &self.nbr[lo as usize..hi as usize] {
+            let u = e as u32 as usize;
+            if !self.is_dirty[u] {
+                self.is_dirty[u] = true;
+                self.dirty.push(u as u32);
             }
         }
-        touched.sort_unstable();
-        // Decide every split under the frozen pre-round labels first;
-        // rounds are synchronous.
-        let mut pending: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-        for &s in &touched {
-            if members[s].len() == 1 {
+    }
+
+    /// Move each dirty node of a non-singleton cell to the back of its
+    /// cell, and list the cells that hold one.
+    fn gather_dirty(&mut self) {
+        for i in 0..self.dirty.len() {
+            let v = self.dirty[i];
+            self.is_dirty[v as usize] = false;
+            let s = self.cell[v as usize];
+            let l = self.len[s as usize];
+            if l == 1 {
                 continue;
             }
-            let subcells = split_cell_partial(d, &class, &members[s], &dirty);
-            if subcells.len() > 1 {
-                pending.push((s, subcells));
+            let m = self.moved[s as usize];
+            if m == 0 {
+                self.touched.push(s);
+            }
+            self.moved[s as usize] = m + 1;
+            self.place(v, s + l - 1 - m);
+        }
+        self.dirty.clear();
+    }
+
+    /// Write the signature keys of `v` to `sigs`, sorted; returns their
+    /// range.
+    fn signature(&mut self, v: u32) -> (u32, u32) {
+        let a = self.sigs.len();
+        let (lo, hi) = (self.nbr_start[v as usize], self.nbr_start[v as usize + 1]);
+        for &e in &self.nbr[lo as usize..hi as usize] {
+            self.sigs
+                .push(e & KEY_MASK | u64::from(self.cell[e as u32 as usize]));
+        }
+        self.sigs[a..].sort_unstable();
+        (a as u32, self.sigs.len() as u32)
+    }
+
+    /// Decide how the cell starting at `s` splits under the round's
+    /// frozen labels, lay it out in signature order, and queue its
+    /// subcells.
+    fn split(&mut self, s: u32) {
+        let l = self.len[s as usize];
+        let k = self.moved[s as usize];
+        self.moved[s as usize] = 0;
+        let c = l - k;
+        self.sigs.clear();
+        self.keyed.clear();
+        for p in s + c..s + l {
+            let v = self.lab[p as usize];
+            let (a, b) = self.signature(v);
+            self.keyed.push((a, b, v));
+        }
+        self.keyed
+            .sort_unstable_by(|x, y| keys(&self.sigs, x).cmp(keys(&self.sigs, y)));
+        // The clean members share one signature: their block goes after
+        // the `lt` dirty members below it, merged with the `eq` equal to
+        // it.
+        let (lt, eq) = if c == 0 {
+            (0, 0)
+        } else {
+            let (a, b) = self.signature(self.lab[s as usize]);
+            let rep = &self.sigs[a as usize..b as usize];
+            let lt = self.keyed.partition_point(|x| keys(&self.sigs, x) < rep);
+            let eq = self.keyed[lt..].partition_point(|x| keys(&self.sigs, x) == rep);
+            (lt as u32, eq as u32)
+        };
+        let uniform = if c == 0 {
+            keys(&self.sigs, &self.keyed[0]) == keys(&self.sigs, &self.keyed[k as usize - 1])
+        } else {
+            lt == 0 && eq == k
+        };
+        if uniform {
+            return;
+        }
+        // Lay the cell out in order: `lt` dirty members, the clean
+        // block, the other dirty members. Clean members move only from
+        // the front positions the dirty ones take.
+        let (lo, hi) = (lt.min(c), lt.max(c));
+        for i in 0..lo {
+            self.place(self.lab[(s + i) as usize], s + hi + i);
+        }
+        for i in 0..k {
+            let v = self.keyed[i as usize].2;
+            let p = if i < lt { s + i } else { s + c + i };
+            self.place(v, p);
+        }
+        let first = self.splits.len();
+        let mut t = s;
+        self.queue_runs(0, lt, &mut t);
+        if c > 0 {
+            self.splits.push(Split {
+                start: t,
+                len: c + eq,
+                relabel: false,
+                mark: false,
+            });
+            t += c + eq;
+        }
+        self.queue_runs(lt + eq, k, &mut t);
+        let subcells = &mut self.splits[first..];
+        let mut largest = 0;
+        for (i, sub) in subcells.iter().enumerate() {
+            if sub.len > subcells[largest].len {
+                largest = i;
             }
         }
-        for &v in &dirty_nodes {
-            dirty[v] = false;
+        for (i, sub) in subcells.iter_mut().enumerate() {
+            sub.relabel = sub.start != s;
+            sub.mark = i != largest;
+            self.len[sub.start as usize] = sub.len;
         }
-        for &s in &touched {
-            touched_mark[s] = false;
+    }
+
+    /// Queue one subcell per run of equal signatures in `keyed[i..j]`,
+    /// which sits at position `t` onwards.
+    fn queue_runs(&mut self, mut i: u32, j: u32, t: &mut u32) {
+        while i < j {
+            let run = keys(&self.sigs, &self.keyed[i as usize]);
+            let mut e = i + 1;
+            while e < j && keys(&self.sigs, &self.keyed[e as usize]) == run {
+                e += 1;
+            }
+            self.splits.push(Split {
+                start: *t,
+                len: e - i,
+                relabel: false,
+                mark: false,
+            });
+            *t += e - i;
+            i = e;
         }
-        if pending.is_empty() {
-            break;
-        }
-        // Apply the splits and seed the next round. The first subcell
-        // keeps the parent's start label, so its members' labels — and
-        // every signature entry referencing them — are *literally
-        // unchanged*; only members of later subcells change label, and
-        // only their neighbors can see a changed signature next round
-        // (self-loops mark their own node).
-        dirty_nodes.clear();
-        for (s, subcells) in pending {
-            members[s].clear();
-            let mut off = s;
-            for sub in subcells {
-                if off != s {
-                    for &w in &sub {
-                        for a in d.out_arcs(w) {
-                            dirty_nodes.push(a.to as usize);
-                        }
-                        for a in d.in_arcs(w) {
-                            dirty_nodes.push(a.from as usize);
-                        }
-                    }
+    }
+
+    /// Relabel the queued subcells and dirty the neighbors of all but
+    /// each split's largest.
+    fn apply_splits(&mut self) {
+        for i in 0..self.splits.len() {
+            let sub = self.splits[i];
+            if !sub.relabel && !sub.mark {
+                // The largest subcell, at the parent's start: unchanged.
+                continue;
+            }
+            for p in sub.start..sub.start + sub.len {
+                let v = self.lab[p as usize] as usize;
+                if sub.relabel {
+                    self.cell[v] = sub.start;
                 }
-                for &v in &sub {
-                    class[v] = off as u32;
+                if sub.mark {
+                    self.mark_neighbors(v);
                 }
-                let len = sub.len();
-                members[off] = sub;
-                off += len;
             }
         }
-        dirty_nodes.sort_unstable();
-        dirty_nodes.dedup();
-    }
-    // Materialize the exact compact numbering from cell order.
-    let mut out = vec![0u32; n];
-    let mut k = 0u32;
-    for cell in members.iter().filter(|c| !c.is_empty()) {
-        for &v in cell {
-            out[v] = k;
-        }
-        k += 1;
-    }
-    Partition {
-        class: out,
-        k: k as usize,
+        self.splits.clear();
     }
 }
 
@@ -328,51 +533,14 @@ fn refine_worklist(
 /// If `initial` is `None`, starts from the partition induced by node
 /// colors. `initial` must be a normalized partition (as produced by
 /// [`Partition::from_keys`]). Byte-identical to the frozen
-/// [`crate::oracle::refine_to_stable`] loop on every input, but each
-/// round after the first costs only the light cone of the previous
-/// round's splits instead of a full `n`-signature sort.
+/// [`crate::oracle::refine_to_stable`] loop on every input; each round
+/// after the first costs only its dirty nodes (module docs).
 pub fn refine_to_stable(d: &ColoredDigraph, initial: Option<Partition>) -> Partition {
     let part = initial.unwrap_or_else(|| Partition::from_keys(d.node_colors()));
-    let cells = part.cells();
-    refine_worklist(d, cells, (0..d.n()).collect())
-}
-
-/// Individualize `v` inside the *stable* partition `stable` and refine
-/// back to stability — the inner step of the IR search.
-///
-/// Byte-identical to `refine_to_stable(d, Some(individualize(stable,
-/// v)))`, but round one is seeded with only the cells adjacent to `v`'s
-/// old cell: since `stable` is equitable, every other cell's signatures
-/// are untouched by the split (monotone-renumbering argument, DESIGN
-/// §13) and cannot separate.
-pub fn refine_individualized(d: &ColoredDigraph, stable: &Partition, v: usize) -> Partition {
-    let cv = stable.class[v] as usize;
-    let old_cells = stable.cells();
-    if old_cells[cv].len() == 1 {
-        return stable.clone();
-    }
-    let mut cells: Vec<Vec<usize>> = Vec::with_capacity(stable.k + 1);
-    for (ci, cell) in old_cells.iter().enumerate() {
-        if ci == cv {
-            cells.push(vec![v]);
-            cells.push(cell.iter().copied().filter(|&w| w != v).collect());
-        } else {
-            cells.push(cell.clone());
-        }
-    }
-    // Only a neighbor of the split cell sees a non-monotone renumbering;
-    // every other node keeps its (cell-wide equal) stable signature, so
-    // the clean-representative invariant holds from round one.
-    let mut dirty_nodes = Vec::new();
-    for &w in &old_cells[cv] {
-        for a in d.out_arcs(w) {
-            dirty_nodes.push(a.to as usize);
-        }
-        for a in d.in_arcs(w) {
-            dirty_nodes.push(a.from as usize);
-        }
-    }
-    refine_worklist(d, cells, dirty_nodes)
+    let mut r = Refiner::new(d);
+    r.init(&part);
+    r.refine();
+    r.partition()
 }
 
 /// Refine for exactly `rounds` rounds (used to expose the per-depth view
@@ -532,21 +700,63 @@ mod tests {
         }
     }
 
+    /// Individualizing inside a stable partition dirties only the
+    /// vertex's neighbors; the result must still be the oracle's.
     #[test]
     fn worklist_matches_oracle_from_individualized_partitions() {
-        let d = cycle(8, vec![0; 8]);
-        let stable = refine_to_stable(&d, None);
-        for v in 0..8 {
-            let keys: Vec<(u32, u8)> = stable
-                .class
-                .iter()
-                .enumerate()
-                .map(|(w, &c)| (c, u8::from(w != v)))
-                .collect();
-            let ind = Partition::from_keys(&keys);
-            let fast = refine_individualized(&d, &stable, v);
-            let slow = oracle::refine_to_stable(&d, Some(ind));
-            assert_eq!(fast, slow, "individualized at {v}");
+        let mut colors = vec![0u64; 12];
+        colors[0] = 1;
+        for d in [cycle(8, vec![0; 8]), cycle(12, colors), path3()] {
+            let n = d.n();
+            let mut r = Refiner::new(&d);
+            r.init(&Partition::from_keys(d.node_colors()));
+            r.refine();
+            let stable = r.partition();
+            assert_eq!(stable, oracle::refine_to_stable(&d, None));
+            for v in 0..n {
+                if stable.sizes()[stable.class[v] as usize] == 1 {
+                    continue;
+                }
+                let keys: Vec<(u32, u8)> = stable
+                    .class
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &c)| (c, u8::from(w != v)))
+                    .collect();
+                let slow = oracle::refine_to_stable(&d, Some(Partition::from_keys(&keys)));
+                let mut r = Refiner::new(&d);
+                r.init(&stable);
+                r.refine();
+                r.individualize(v);
+                r.refine();
+                assert_eq!(r.partition(), slow, "n={n}: individualized at {v}");
+            }
+        }
+    }
+
+    /// Arc colors that do not fit in 31 bits are ranked through a
+    /// palette; the ranks must order exactly as the colors do.
+    #[test]
+    fn wide_arc_colors_refine_like_the_oracle() {
+        let mut x = 7u64;
+        for n in [5usize, 9, 16] {
+            let mut arcs = Vec::new();
+            for _ in 0..3 * n {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                arcs.push(Arc {
+                    from: ((x >> 33) % n as u64) as u32,
+                    to: ((x >> 13) % n as u64) as u32,
+                    color: [0, 1 << 31, u64::MAX, 5 << 40][(x >> 60) as usize % 4],
+                });
+            }
+            let d = ColoredDigraph::new(vec![0; n], arcs);
+            assert_eq!(
+                refine_to_stable(&d, None),
+                oracle::refine_to_stable(&d, None),
+                "n={n}"
+            );
         }
     }
 

@@ -13,6 +13,9 @@
 //!   comparison of emitted words — is unchanged;
 //! * capped searches (the view-bounded mode, where pruning is disabled)
 //!   are byte-identical *including* leaf counts;
+//! * on relabeled symmetric instances, the agents' maps elect-cold
+//!   canonicalizes, the leaf and prune counts are pinned to recorded
+//!   constants, so the search tree itself cannot move;
 //! * for `n ≤ 8` the emitted word equals the brute-force minimum over
 //!   all `n!` labelings, and the harvested generators generate the full
 //!   automorphism group;
@@ -221,6 +224,59 @@ fn brute_force_cross_check_on_fixed_small_instances() {
                 "{} vs {}: kernel and exhaustive words disagree on isomorphy",
                 cases[i].0,
                 cases[j].0
+            );
+        }
+    }
+}
+
+/// The inputs elect-cold canonicalizes are agents' maps: relabeled
+/// copies of symmetric instances, whose search trees depend on the
+/// labeling. Every field must equal the oracle's, and the leaf and
+/// prune counts must equal the recorded constants, which pins the
+/// search tree itself, not just its result.
+#[test]
+fn kernel_is_byte_identical_on_relabeled_symmetric_instances() {
+    // (label, digraph, [(leaves_visited, pruned_branches)] as generated
+    // and under `random_perm` seeds 1, 2, 3).
+    let cases = [
+        (
+            "Q6@0,63",
+            digraph(families::hypercube(6).unwrap(), &[0, 63]),
+            [(17, 0), (47, 0), (83, 0), (83, 0)],
+        ),
+        (
+            "Q5@0,31",
+            digraph(families::hypercube(5).unwrap(), &[0, 31]),
+            [(12, 0), (27, 0), (25, 0), (25, 0)],
+        ),
+        (
+            "petersen@0,1",
+            digraph(families::petersen().unwrap(), &[0, 1]),
+            [(4, 0), (4, 0), (5, 0), (5, 0)],
+        ),
+        (
+            "torus8x8@0,9",
+            digraph(families::torus(&[8, 8]).unwrap(), &[0, 9]),
+            [(3, 0), (3, 0), (3, 0), (3, 0)],
+        ),
+        (
+            "cycle300@0,1,5",
+            digraph(families::cycle(300).unwrap(), &[0, 1, 5]),
+            [(1, 0), (1, 0), (1, 0), (1, 0)],
+        ),
+    ];
+    for (label, d, counts) in &cases {
+        for (seed, &(leaves, pruned)) in counts.iter().enumerate() {
+            let relabeled = match seed {
+                0 => d.clone(),
+                s => d.relabel(&random_perm(d.n(), s as u64)),
+            };
+            let label = format!("{label} seed {seed}");
+            let (fast, _) = assert_byte_identical(&label, &relabeled);
+            assert_eq!(
+                (fast.leaves_visited, fast.pruned_branches),
+                (leaves, pruned),
+                "{label}: search tree moved"
             );
         }
     }
