@@ -5,9 +5,10 @@
 //! blocks on a channel; a sim agent is a future that returns `Pending`.
 //! Everything else lives here, once:
 //!
-//! * **the world** (`World`): the graph, the whiteboards, metrics, span
-//!   trackers, checkpoints, the event log, fault statistics, caught
-//!   panics, port scrambling and home-base premarking;
+//! * **the world** (`World`): the flat topology, the whiteboards,
+//!   metrics, span trackers, checkpoints, the event log, fault
+//!   statistics, caught panics, port scrambling and home-base
+//!   premarking;
 //! * **the primitives** (`Agent`): the fault gate, crash restart, and
 //!   the read / write / move / wait bookkeeping, written once as async
 //!   code over a `Link` — the engine's gate;
@@ -30,7 +31,7 @@ use crate::sign::{Sign, SignKind};
 use crate::trace::{sign_kind_code, PrimOp, Trace, TraceEvent};
 use crate::whiteboard::Whiteboard;
 use qelect_graph::cache::{self, CacheStats};
-use qelect_graph::{Bicolored, Graph, Port};
+use qelect_graph::{Bicolored, End, Graph, Incidence};
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
@@ -147,7 +148,12 @@ pub(crate) enum Park {
 /// DESIGN.md §12.3), and the scheduler reads it only while every agent
 /// is parked.
 pub(crate) struct World {
-    graph: Graph,
+    /// The topology, flat (CSR): the incidences at node `v` are the
+    /// slots `offsets[v]..offsets[v + 1]`, in increasing port order.
+    offsets: Vec<u32>,
+    /// `far[slot]`: the node across the slot's edge, and the slot of the
+    /// same edge there.
+    far: Vec<(u32, u32)>,
     homes: Vec<usize>,
     colors: Vec<Color>,
     boards: Vec<Whiteboard>,
@@ -180,8 +186,10 @@ impl World {
         for (&hb, &color) in bc.homebases().iter().zip(&colors) {
             boards[hb].post(Sign::tag(color, SignKind::HomeBase));
         }
+        let (offsets, far) = flat_topology(bc.graph());
         World {
-            graph: bc.graph().clone(),
+            offsets,
+            far,
             homes: bc.homebases().to_vec(),
             colors,
             boards,
@@ -201,27 +209,44 @@ impl World {
     /// Agent `id` before its first step: at its home-base, carrying its
     /// color, with its slice of the fault plan.
     pub(crate) fn agent<L>(&self, id: usize, link: L, faults: &FaultPlan) -> Agent<L> {
+        let home = self.homes[id];
+        let mut ports = Vec::new();
+        self.port_table(id, home, &mut ports);
         Agent {
             link,
             id,
             color: self.colors[id],
-            node: self.homes[id],
-            home: self.homes[id],
+            node: home,
+            home,
             entry: None,
+            ports,
             faults: FaultClock::new(faults, id),
             recovery: faults.recovery,
             armed: faults.has_crashes(),
         }
     }
 
-    /// The agent-specific local-port → symbol mapping at a node.
-    pub(crate) fn port_map(&self, agent: usize, node: usize) -> Vec<Port> {
-        let syms: Vec<Port> = self.graph.ports_at(node);
+    /// Fill `ports` with the agent's local-port → slot table at `node`:
+    /// entry `i` is the slot behind `LocalPort(i)`.
+    pub(crate) fn port_table(&self, agent: usize, node: usize, ports: &mut Vec<u32>) {
+        ports.clear();
+        ports.extend(self.offsets[node]..self.offsets[node + 1]);
         if self.scramble_ports {
-            crate::shuffle::scrambled_ports(self.port_seed, agent, node, syms)
-        } else {
-            syms
+            crate::shuffle::scramble(self.port_seed, agent, node, ports);
         }
+    }
+
+    /// The agent crosses the edge at `slot`: returns the destination and
+    /// the agent's entry port there, and leaves the agent's table at the
+    /// destination in `ports`.
+    pub(crate) fn cross(&self, agent: usize, slot: u32, ports: &mut Vec<u32>) -> (usize, u32) {
+        let (dest, far) = self.far[slot as usize];
+        self.port_table(agent, dest as usize, ports);
+        let entry = ports
+            .iter()
+            .position(|&s| s == far)
+            .expect("the far slot is at the destination");
+        (dest as usize, entry as u32)
     }
 
     fn record(&mut self, tick: u64, agent: usize, op: PrimOp) {
@@ -238,6 +263,40 @@ impl World {
     }
 }
 
+/// The world's topology of `g`: the CSR `offsets` and the `far` table
+/// (see [`World`]).
+fn flat_topology(g: &Graph) -> (Vec<u32>, Vec<(u32, u32)>) {
+    // Slots and nodes are stored as u32; a connected graph has fewer
+    // nodes than edge ends plus two.
+    assert!(
+        2 * g.m() < u32::MAX as usize,
+        "too many edge ends for u32 slots"
+    );
+    // The slot of every edge end, indexed `2 · edge + end`.
+    let end_key = |inc: Incidence| 2 * inc.edge as usize + usize::from(inc.end == End::V);
+    let mut slot_of = vec![0u32; 2 * g.m()];
+    let mut offsets = Vec::with_capacity(g.n() + 1);
+    offsets.push(0u32);
+    for v in 0..g.n() {
+        let start = offsets[v];
+        for (k, &inc) in g.incidences(v).iter().enumerate() {
+            slot_of[end_key(inc)] = start + k as u32;
+        }
+        offsets.push(start + g.degree(v) as u32);
+    }
+    let far = (0..g.n())
+        .flat_map(|v| g.incidences(v))
+        .map(|&inc| {
+            let there = Incidence {
+                end: inc.end.flip(),
+                ..inc
+            };
+            (g.node_of(there) as u32, slot_of[end_key(there)])
+        })
+        .collect();
+    (offsets, far)
+}
+
 /// An engine's gate: how an agent reaches the world, and how it parks
 /// until the scheduler answers.
 pub(crate) trait Link {
@@ -249,8 +308,8 @@ pub(crate) trait Link {
     fn park(&mut self, agent: usize, at: Park) -> impl Future<Output = Result<u64, Interrupt>>;
 }
 
-/// One agent's context: its volatile state (position, entry port,
-/// fault clock) plus its engine's [`Link`]. Implements every primitive
+/// One agent's context: its volatile state (position, entry port, port
+/// table, fault clock) plus its engine's [`Link`]. Implements every primitive
 /// of [`MobileCtxAsync`]; the gated engine resolves these futures inside
 /// a single poll, the sim engine suspends them at its gates.
 pub(crate) struct Agent<L> {
@@ -260,6 +319,9 @@ pub(crate) struct Agent<L> {
     node: usize,
     home: usize,
     entry: Option<LocalPort>,
+    /// The local-port → slot table at `node` (see
+    /// [`World::port_table`]), one entry per incidence there.
+    ports: Vec<u32>,
     faults: FaultClock,
     recovery: RecoveryPolicy,
     /// Whether the plan can crash agents (see
@@ -342,7 +404,9 @@ impl<L: Link> Agent<L> {
         self.node = self.home;
         self.entry = None;
         let stall = self.faults.take_restart_stall() + self.recovery.backoff(incarnation);
+        let (id, home, ports) = (self.id, self.home, &mut self.ports);
         self.link.world(|w| {
+            w.port_table(id, home, ports);
             w.fault_stats.restarts.fetch_add(1, Ordering::Relaxed);
             w.fault_stats
                 .backoff_ticks
@@ -368,8 +432,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
     }
 
     fn degree(&mut self) -> usize {
-        let node = self.node;
-        self.link.world(|w| w.graph.degree(node))
+        self.ports.len()
     }
 
     fn entry(&self) -> Option<LocalPort> {
@@ -415,28 +478,19 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
     async fn move_via(&mut self, port: LocalPort) -> Result<(), Interrupt> {
         let tick = self.op().await?;
         let (id, from) = (self.id, self.node);
+        let slot = *self
+            .ports
+            .get(port.0 as usize)
+            .unwrap_or_else(|| panic!("agent {id} used invalid local port {port}"));
+        let ports = &mut self.ports;
         let (dest, entry) = self.link.world(|w| {
-            let sym = *w
-                .port_map(id, from)
-                .get(port.0 as usize)
-                .unwrap_or_else(|| panic!("agent {id} used invalid local port {port}"));
-            let (dest, entry_sym) = w
-                .graph
-                .move_along(from, sym)
-                .expect("port map is consistent with the graph");
-            // Translate the arrival symbol into the agent's local
-            // numbering at the destination.
-            let entry = w
-                .port_map(id, dest)
-                .iter()
-                .position(|&p| p == entry_sym)
-                .expect("entry symbol present at destination");
+            let (dest, entry) = w.cross(id, slot, ports);
             w.metrics[id].moves.fetch_add(1, Ordering::Relaxed);
             w.record(tick, id, PrimOp::Move { from, to: dest });
             (dest, entry)
         });
         self.node = dest;
-        self.entry = Some(LocalPort(entry as u32));
+        self.entry = Some(LocalPort(entry));
         Ok(())
     }
 
@@ -788,6 +842,7 @@ macro_rules! contract_tests {
             wait_wakes_on_board_change,
             deterministic_given_seed_and_policy,
             panic_inside_a_board_access_is_a_typed_error,
+            invalid_local_port_is_a_typed_error,
             crash_restarts_at_home_with_volatile_state_lost,
         );
     };
@@ -1040,6 +1095,32 @@ pub(crate) mod contract {
         );
     }
 
+    pub(crate) fn invalid_local_port_is_a_typed_error(engine: Engine) {
+        // Ports are `0..degree`; one past the last is a protocol bug,
+        // caught at the agent-program boundary like any other panic.
+        #[derive(Clone)]
+        struct PastTheLastPort;
+        impl Protocol for PastTheLastPort {
+            async fn run_async<C: MobileCtxAsync>(
+                &self,
+                ctx: &mut C,
+            ) -> Result<AgentOutcome, Interrupt> {
+                let degree = ctx.degree() as u32;
+                ctx.move_via(LocalPort(degree)).await?;
+                Ok(AgentOutcome::Leader)
+            }
+        }
+        let bc = instance(4, &[0]);
+        let err = run(&bc, &UnifiedConfig::new(0).engine(engine), &PastTheLastPort)
+            .expect_err("the invalid port must surface");
+        assert!(
+            matches!(&err, RunError::AgentPanicked { agent: 0, message }
+                if message == "agent 0 used invalid local port lp2"),
+            "{}: {err:?}",
+            engine.name()
+        );
+    }
+
     pub(crate) fn crash_restarts_at_home_with_volatile_state_lost(engine: Engine) {
         // The program walks two hops, then posts a Visited sign wherever
         // it stands. A crash at op 2 (the second move) loses that move;
@@ -1092,5 +1173,69 @@ pub(crate) mod contract {
         // The lost move means the restart walks the full two hops
         // again: 1 (pre-crash) + 2 (restart) = 3 moves.
         assert_eq!(report.metrics.total_moves(), 3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shuffle::scrambled_ports;
+    use qelect_graph::families;
+
+    /// The move as the graph defines it: the agent's symbol behind
+    /// `port`, the edge across, and the arrival symbol's position in the
+    /// agent's scramble at the destination.
+    fn reference_move(
+        g: &Graph,
+        cfg: &RunConfig,
+        agent: usize,
+        node: usize,
+        port: usize,
+    ) -> (usize, u32) {
+        let table = |v| {
+            if cfg.scramble_ports {
+                scrambled_ports(cfg.seed.wrapping_add(0x9047_5EED), agent, v, g.ports_at(v))
+            } else {
+                g.ports_at(v)
+            }
+        };
+        let (dest, arrival) = g.move_along(node, table(node)[port]).unwrap();
+        let entry = table(dest).iter().position(|&p| p == arrival).unwrap();
+        (dest, entry as u32)
+    }
+
+    #[test]
+    fn moves_match_the_graph_on_loops_parallel_edges_and_random_graphs() {
+        let graphs = [
+            ("fig2c", families::fig2c_gadget().unwrap()),
+            ("Q4", families::hypercube(4).unwrap()),
+            ("random", families::random_connected(24, 0.2, 5).unwrap()),
+        ];
+        for (label, g) in graphs {
+            let bc = Bicolored::new(g.clone(), &[0]).unwrap();
+            for scramble_ports in [true, false] {
+                let cfg = RunConfig {
+                    seed: 17,
+                    scramble_ports,
+                    ..RunConfig::default()
+                };
+                let world = World::new(&bc, &cfg);
+                let mut ports = Vec::new();
+                for agent in 0..3 {
+                    for node in 0..g.n() {
+                        for port in 0..g.degree(node) {
+                            world.port_table(agent, node, &mut ports);
+                            assert_eq!(ports.len(), g.degree(node));
+                            let got = world.cross(agent, ports[port], &mut ports);
+                            assert_eq!(
+                                got,
+                                reference_move(&g, &cfg, agent, node, port),
+                                "{label} scramble={scramble_ports}: agent {agent} at {node} via {port}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

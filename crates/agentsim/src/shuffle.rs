@@ -16,21 +16,26 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The agent's local-port → symbol table at a node: index `i` of the
-/// result is the symbol behind the agent's `LocalPort(i)`.
-pub fn scrambled_ports(seed: u64, agent: usize, node: usize, mut syms: Vec<Port>) -> Vec<Port> {
+/// Permute `items` in place by the agent's scramble at a node. The
+/// permutation depends only on `(seed, agent, node)` and `items.len()`,
+/// so scrambling any list of a node's incidences (symbols, slots) in
+/// increasing port order moves entry `k` to the same local port.
+pub fn scramble<T>(seed: u64, agent: usize, node: usize, items: &mut [T]) {
     let base = mix(seed)
         ^ mix((agent as u64).wrapping_add(0xA6E17))
         ^ mix((node as u64).wrapping_add(0x170DE));
     let mut ctr = 0u64;
-    let mut next = move || {
+    for i in (1..items.len()).rev() {
         ctr += 1;
-        mix(base.wrapping_add(ctr))
-    };
-    for i in (1..syms.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        syms.swap(i, j);
+        let j = (mix(base.wrapping_add(ctr)) % (i as u64 + 1)) as usize;
+        items.swap(i, j);
     }
+}
+
+/// The agent's local-port → symbol table at a node: index `i` of the
+/// result is the symbol behind the agent's `LocalPort(i)`.
+pub fn scrambled_ports(seed: u64, agent: usize, node: usize, mut syms: Vec<Port>) -> Vec<Port> {
+    scramble(seed, agent, node, &mut syms);
     syms
 }
 

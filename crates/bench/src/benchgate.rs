@@ -16,7 +16,9 @@
 //! 3. `BENCH_canon.json` must carry its ELECT end-to-end curve up to
 //!    [`ELECT_CURVE_TOP_N`] nodes, and the `host` it was measured on
 //!    (at least one core);
-//! 4. `BENCH_serve.json` must report warm throughput of at least
+//! 4. `BENCH_sim.json` must record its `host` the same way, and at
+//!    least [`PASSES`] timed passes per engine;
+//! 5. `BENCH_serve.json` must report warm throughput of at least
 //!    `--min-warm-rps × (1 − --tolerance)`, where the floor defaults
 //!    to [`REQUIRED_WARM_SPEEDUP`] × the PR 5 single-shard baseline
 //!    ([`PR5_WARM_RPS`]), plus zero disagreements in every phase.
@@ -28,6 +30,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use qelect_agentsim::json::{self, envelope, Value};
+
+use crate::simbench::PASSES;
 
 /// Warm throughput of the PR 5 single-shard, single-request qelectd
 /// baseline (rps), as committed in that PR's `BENCH_serve.json`.
@@ -142,6 +146,19 @@ fn check_passed_flag(obj: &[(String, Value)]) -> Result<(), String> {
     }
 }
 
+/// The report's `host` block must name at least one core.
+fn check_host(obj: &[(String, Value)]) -> Result<(), String> {
+    let cores = json::get(obj, "host")
+        .and_then(Value::as_object)
+        .and_then(|h| json::get(h, "cores"))
+        .and_then(Value::as_num)
+        .ok_or("missing the \"host\" block with numeric \"cores\"")?;
+    if cores < 1.0 {
+        return Err(format!("\"host\" reports {cores} cores (must be >= 1)"));
+    }
+    Ok(())
+}
+
 fn phase_disagreements(obj: &[(String, Value)], phase: &str) -> Result<f64, String> {
     let p = json::get(obj, phase)
         .and_then(Value::as_object)
@@ -188,15 +205,18 @@ fn check_report(
                 "the ELECT curve stops at n = {top} (must reach {ELECT_CURVE_TOP_N})"
             ));
         }
-        let cores = json::get(&obj, "host")
-            .and_then(Value::as_object)
-            .and_then(|h| json::get(h, "cores"))
+        return check_host(&obj);
+    }
+    if name == "BENCH_sim.json" {
+        let passes = json::get(&obj, "passes")
             .and_then(Value::as_num)
-            .ok_or("missing the \"host\" block with numeric \"cores\"")?;
-        if cores < 1.0 {
-            return Err(format!("\"host\" reports {cores} cores (must be >= 1)"));
+            .ok_or("missing numeric \"passes\"")?;
+        if passes < PASSES as f64 {
+            return Err(format!(
+                "{passes} timed passes per engine (must be >= {PASSES})"
+            ));
         }
-        return Ok(());
+        return check_host(&obj);
     }
     if name != "BENCH_serve.json" {
         return Ok(());
@@ -440,6 +460,37 @@ mod tests {
             let out = run(&cfg).unwrap();
             assert!(!out.passed(), "accepted host block {bad:?}");
             assert!(out.render().contains("host"), "{}", out.render());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gate_requires_the_sim_report_to_record_its_host_and_passes() {
+        let dir = tmp_dir("sim-host");
+        let cfg = GateConfig {
+            dir: dir.to_str().unwrap().into(),
+            ..GateConfig::default()
+        };
+        let report = |fields: &str| {
+            format!("{{\"schema\": \"qelect-simbench/1\", {fields}\"passed\": true}}")
+        };
+        let host = "\"host\": {\"cores\": 1, \"rustc\": null, \"git_rev\": null}, ";
+        let good = format!("\"passes\": 5, {host}");
+        std::fs::write(dir.join("BENCH_sim.json"), report(&good)).unwrap();
+        assert!(run(&cfg).unwrap().passed());
+        for (bad, reason) in [
+            (host.to_string(), "passes"),
+            (format!("\"passes\": 4, {host}"), "passes"),
+            ("\"passes\": 5, ".to_string(), "host"),
+            (
+                "\"passes\": 5, \"host\": {\"cores\": 0}, ".to_string(),
+                "host",
+            ),
+        ] {
+            std::fs::write(dir.join("BENCH_sim.json"), report(&bad)).unwrap();
+            let out = run(&cfg).unwrap();
+            assert!(!out.passed(), "accepted {bad:?}");
+            assert!(out.render().contains(reason), "{}", out.render());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -193,10 +193,11 @@ fn load(inv: LoadInvocation) {
 
 fn simbench(inv: SimBenchInvocation) {
     println!(
-        "# Engine throughput — {} instances × {} seeds × {} repeats, gated vs sim\n",
+        "# Engine throughput — {} instances × {} seeds × {} repeats, {} passes, gated vs sim\n",
         inv.config.instances.len(),
         inv.config.seeds.len(),
         inv.config.repeats,
+        qelect_bench::simbench::PASSES,
     );
     let report = qelect_bench::simbench::run_simbench(&inv.config);
     print!("{}", report.render());

@@ -147,7 +147,8 @@
 //! specs:     instances to time (default: a circulant-family ladder up
 //!            to C24 with r=12)
 //! options:   --seeds 0,1,2         run seeds (default 0,1,2)
-//!            --repeats N           elections per seed per engine (default 8)
+//!            --repeats N           elections per seed per engine and pass
+//!                                  (default 8; 5 timed passes)
 //!            --json PATH           report path (default BENCH_sim.json)
 //! ```
 //!

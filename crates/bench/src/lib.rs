@@ -13,12 +13,13 @@
 //!   oracles (with the regular-subgroup quantification);
 //! * `fig5_petersen` — the Fig. 5 divergence: ELECT fails, the bespoke
 //!   protocol elects;
-//! * `sweep_random` — random-instance stress sweep (ELECT vs oracle);
 //! * `qelectctl` — run any protocol on any family from the command line
 //!   (parsing in [`cli`]); its `audit` subcommand emits the
 //!   phase-resolved JSON reports of [`report`] and gates CI on the
-//!   fitted Theorem 3.1 constant, and its `faults` subcommand runs the
-//!   crash sweeps of [`faults`] and gates on the gcd oracle.
+//!   fitted Theorem 3.1 constant, its `faults` subcommand runs the
+//!   crash sweeps of [`faults`] and gates on the gcd oracle, and its
+//!   `sweep` subcommand stress-tests ELECT against the oracle on random
+//!   instances ([`sweep`]).
 //!
 //! The criterion benches (`benches/`) measure the same pipelines for
 //! performance tracking.
@@ -32,6 +33,7 @@ pub mod cli;
 pub mod explore;
 pub mod faults;
 pub mod load;
+pub mod measure;
 pub mod report;
 pub mod serve;
 pub mod simbench;

@@ -4,8 +4,11 @@
 //! One workload, two engines: every instance in the config is run as a
 //! batch of crash-free ELECT elections (seeds × repeats) on the gated
 //! thread engine and again on the single-threaded discrete-event sim
-//! engine, and the report records elections/second per engine plus the
-//! sim-over-gated speedup. Because the engines are byte-identical by
+//! engine, in [`PASSES`] timed passes per engine. The
+//! report records each engine's elections/second (median, min and max
+//! over the passes), the sim-over-gated speedup of the medians, the sim
+//! engine's wall time per scheduler grant, and the host it ran on.
+//! Because the engines are byte-identical by
 //! contract (DESIGN §12), the benchmark doubles as a differential
 //! check: every (instance, seed) pair must produce the same leader and
 //! the same verdict against the gcd oracle on both engines, and any
@@ -26,12 +29,17 @@ use qelect_agentsim::json;
 use qelect_agentsim::{Engine, RunConfig};
 use qelect_graph::Bicolored;
 
+use crate::measure::{median, Host};
 use crate::report::AuditInstance;
 use crate::{header, row};
 
 /// Schema tag embedded in every simbench JSON document (the shared
 /// envelope declaration, [`json::envelope::SIMBENCH`]).
 pub const SIMBENCH_SCHEMA: &str = json::envelope::SIMBENCH;
+
+/// Timed passes per engine and instance (`benchgate` rejects a
+/// committed report with fewer).
+pub const PASSES: usize = 5;
 
 /// Configuration of one engine-throughput comparison.
 #[derive(Debug, Clone)]
@@ -54,6 +62,29 @@ impl Default for SimBenchConfig {
     }
 }
 
+/// The spread of one engine's throughput over the timed passes,
+/// elections per second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Throughput {
+    /// Median pass.
+    pub median: f64,
+    /// Slowest pass.
+    pub min: f64,
+    /// Fastest pass.
+    pub max: f64,
+}
+
+impl Throughput {
+    /// The spread of per-pass rates.
+    fn of(rates: &[f64]) -> Throughput {
+        Throughput {
+            median: median(rates),
+            min: rates.iter().copied().fold(f64::INFINITY, f64::min),
+            max: rates.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
 /// One instance's timings across both engines.
 #[derive(Debug, Clone)]
 pub struct InstanceSimBench {
@@ -65,22 +96,33 @@ pub struct InstanceSimBench {
     pub r: usize,
     /// The gcd oracle's verdict for the instance.
     pub solvable: bool,
-    /// Elections timed per engine (seeds × repeats).
+    /// Elections per timed pass (seeds × repeats).
     pub elections: usize,
-    /// Gated-engine throughput, elections per second.
-    pub gated_eps: f64,
-    /// Sim-engine throughput, elections per second.
-    pub sim_eps: f64,
+    /// Scheduler grants per election, averaged over the seeds.
+    pub grants: f64,
+    /// Gated-engine throughput over the passes.
+    pub gated_eps: Throughput,
+    /// Sim-engine throughput over the passes.
+    pub sim_eps: Throughput,
     /// Every (seed, engine) pair agreed with the oracle, and gated and
     /// sim produced the same leader per seed.
     pub agree: bool,
 }
 
 impl InstanceSimBench {
-    /// Sim-over-gated throughput ratio.
+    /// Sim-over-gated ratio of the median throughputs.
     pub fn speedup(&self) -> f64 {
-        if self.gated_eps > 0.0 {
-            self.sim_eps / self.gated_eps
+        if self.gated_eps.median > 0.0 {
+            self.sim_eps.median / self.gated_eps.median
+        } else {
+            0.0
+        }
+    }
+
+    /// Sim-engine wall time per scheduler grant at the median pass, ns.
+    pub fn sim_ns_per_grant(&self) -> f64 {
+        if self.sim_eps.median > 0.0 && self.grants > 0.0 {
+            1e9 / (self.sim_eps.median * self.grants)
         } else {
             0.0
         }
@@ -96,6 +138,8 @@ pub struct SimBenchReport {
     pub seeds: Vec<u64>,
     /// Elections per seed per timed pass.
     pub repeats: usize,
+    /// Where it was measured.
+    pub host: Host,
 }
 
 impl SimBenchReport {
@@ -134,7 +178,8 @@ impl SimBenchReport {
             "r",
             "solvable",
             "gated el/s",
-            "sim el/s",
+            "sim el/s [min, max]",
+            "ns/grant",
             "speedup",
             "agree",
         ]));
@@ -145,18 +190,23 @@ impl SimBenchReport {
                 i.n.to_string(),
                 i.r.to_string(),
                 i.solvable.to_string(),
-                format!("{:.1}", i.gated_eps),
-                format!("{:.1}", i.sim_eps),
+                format!("{:.1}", i.gated_eps.median),
+                format!(
+                    "{:.1} [{:.1}, {:.1}]",
+                    i.sim_eps.median, i.sim_eps.min, i.sim_eps.max
+                ),
+                format!("{:.0}", i.sim_ns_per_grant()),
                 format!("{:.1}x", i.speedup()),
                 i.agree.to_string(),
             ]));
             out.push('\n');
         }
         out.push_str(&format!(
-            "speedup: geomean {:.1}x, max {:.1}x ({} elections/instance)\n",
+            "speedup: geomean {:.1}x, max {:.1}x ({} elections/pass, medians of {} passes)\n",
             self.geomean_speedup(),
             self.max_speedup(),
             self.seeds.len() * self.repeats,
+            PASSES,
         ));
         out
     }
@@ -175,19 +225,29 @@ impl SimBenchReport {
                 .join(", ")
         ));
         s.push_str(&format!("  \"repeats\": {},\n", self.repeats));
+        s.push_str(&format!("  \"passes\": {PASSES},\n"));
+        s.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         s.push_str("  \"instances\": [\n");
         for (idx, i) in self.instances.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"key\": {}, \"n\": {}, \"r\": {}, \"solvable\": {}, \
-                 \"elections\": {}, \"gated_eps\": {:.2}, \"sim_eps\": {:.2}, \
-                 \"speedup\": {:.2}, \"agree\": {}}}{}\n",
+                 \"elections\": {}, \"grants\": {:.1}, \
+                 \"gated_eps\": {:.2}, \"gated_eps_min\": {:.2}, \"gated_eps_max\": {:.2}, \
+                 \"sim_eps\": {:.2}, \"sim_eps_min\": {:.2}, \"sim_eps_max\": {:.2}, \
+                 \"sim_ns_per_grant\": {:.1}, \"speedup\": {:.2}, \"agree\": {}}}{}\n",
                 json::escape(&i.key),
                 i.n,
                 i.r,
                 i.solvable,
                 i.elections,
-                i.gated_eps,
-                i.sim_eps,
+                i.grants,
+                i.gated_eps.median,
+                i.gated_eps.min,
+                i.gated_eps.max,
+                i.sim_eps.median,
+                i.sim_eps.min,
+                i.sim_eps.max,
+                i.sim_ns_per_grant(),
                 i.speedup(),
                 i.agree,
                 if idx + 1 < self.instances.len() {
@@ -209,44 +269,64 @@ impl SimBenchReport {
     }
 }
 
-/// One timed pass: `seeds × repeats` crash-free elections on `engine`,
-/// returning (elapsed seconds, leader per seed, oracle agreement).
-fn timed_pass(
-    bc: &Bicolored,
-    seeds: &[u64],
-    repeats: usize,
-    engine: Engine,
-    solvable: bool,
-) -> (f64, Vec<Option<usize>>, bool) {
-    let mut leaders = vec![None; seeds.len()];
-    let mut agree = true;
-    let t0 = Instant::now();
-    for rep in 0..repeats {
-        for (si, &seed) in seeds.iter().enumerate() {
-            let run = run_election(bc, &RunConfig::new(seed).engine(engine))
-                .expect("crash-free deterministic runs cannot fail");
-            let elected = run.clean_election();
-            if elected != solvable || (!elected && !run.unanimous_unsolvable()) {
-                agree = false;
-            }
-            if rep == 0 {
-                leaders[si] = run.report.leader;
-            } else if leaders[si] != run.report.leader {
-                // A deterministic engine re-running the same seed must
-                // re-elect the same leader.
-                agree = false;
+/// One engine's timed passes over one instance.
+struct Timed {
+    /// Elections per second, one rate per pass.
+    rates: Vec<f64>,
+    /// The leader per seed.
+    leaders: Vec<Option<usize>>,
+    /// Scheduler grants of one pass.
+    grants: u64,
+    /// Every run agreed with the oracle and re-elected its seed's
+    /// leader.
+    agree: bool,
+}
+
+/// [`PASSES`] timed passes of `seeds × repeats` crash-free elections
+/// on `engine`.
+fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, engine: Engine, solvable: bool) -> Timed {
+    let mut timed = Timed {
+        rates: Vec::with_capacity(PASSES),
+        leaders: vec![None; cfg.seeds.len()],
+        grants: 0,
+        agree: true,
+    };
+    for pass in 0..PASSES {
+        let mut grants = 0;
+        let t0 = Instant::now();
+        for rep in 0..cfg.repeats {
+            for (si, &seed) in cfg.seeds.iter().enumerate() {
+                let run = run_election(bc, &RunConfig::new(seed).engine(engine))
+                    .expect("crash-free deterministic runs cannot fail");
+                grants += run.report.metrics.steps;
+                let elected = run.clean_election();
+                if elected != solvable || (!elected && !run.unanimous_unsolvable()) {
+                    timed.agree = false;
+                }
+                if pass == 0 && rep == 0 {
+                    timed.leaders[si] = run.report.leader;
+                } else if timed.leaders[si] != run.report.leader {
+                    // A deterministic engine re-running the same seed
+                    // must re-elect the same leader.
+                    timed.agree = false;
+                }
             }
         }
+        let secs = t0.elapsed().as_secs_f64().max(1e-9);
+        timed
+            .rates
+            .push((cfg.seeds.len() * cfg.repeats) as f64 / secs);
+        timed.grants = grants;
     }
-    (t0.elapsed().as_secs_f64().max(1e-9), leaders, agree)
+    timed
 }
 
 /// Run the engine-throughput comparison.
 ///
 /// Per instance: a warm-up election per engine (populates the global
-/// canonical-form cache so neither timed pass pays the one-off
-/// canonicalization), then one timed pass per engine over the same
-/// (seeds × repeats) workload.
+/// canonical-form cache so no timed pass pays the one-off
+/// canonicalization), then [`PASSES`] timed passes per engine over the
+/// same (seeds × repeats) workload.
 pub fn run_simbench(cfg: &SimBenchConfig) -> SimBenchReport {
     let mut instances = Vec::new();
     for inst in &cfg.instances {
@@ -256,10 +336,8 @@ pub fn run_simbench(cfg: &SimBenchConfig) -> SimBenchReport {
             let _ = run_election(&bc, &RunConfig::new(cfg.seeds[0]).engine(engine))
                 .expect("warm-up run cannot fail");
         }
-        let (gated_secs, gated_leaders, gated_agree) =
-            timed_pass(&bc, &cfg.seeds, cfg.repeats, Engine::Gated, solvable);
-        let (sim_secs, sim_leaders, sim_agree) =
-            timed_pass(&bc, &cfg.seeds, cfg.repeats, Engine::Sim, solvable);
+        let gated = timed_passes(&bc, cfg, Engine::Gated, solvable);
+        let sim = timed_passes(&bc, cfg, Engine::Sim, solvable);
         let elections = cfg.seeds.len() * cfg.repeats;
         instances.push(InstanceSimBench {
             key: inst.key(),
@@ -267,15 +345,20 @@ pub fn run_simbench(cfg: &SimBenchConfig) -> SimBenchReport {
             r: bc.r(),
             solvable,
             elections,
-            gated_eps: elections as f64 / gated_secs,
-            sim_eps: elections as f64 / sim_secs,
-            agree: gated_agree && sim_agree && gated_leaders == sim_leaders,
+            grants: sim.grants as f64 / elections as f64,
+            gated_eps: Throughput::of(&gated.rates),
+            sim_eps: Throughput::of(&sim.rates),
+            agree: gated.agree
+                && sim.agree
+                && gated.leaders == sim.leaders
+                && gated.grants == sim.grants,
         });
     }
     SimBenchReport {
         instances,
         seeds: cfg.seeds.clone(),
         repeats: cfg.repeats,
+        host: Host::probe(),
     }
 }
 
@@ -316,7 +399,14 @@ mod tests {
         );
         for i in &report.instances {
             assert_eq!(i.elections, 4);
-            assert!(i.gated_eps > 0.0 && i.sim_eps > 0.0, "{}", i.key);
+            assert!(i.grants > 0.0 && i.sim_ns_per_grant() > 0.0, "{}", i.key);
+            for eps in [i.gated_eps, i.sim_eps] {
+                assert!(
+                    0.0 < eps.min && eps.min <= eps.median && eps.median <= eps.max,
+                    "{}: {eps:?}",
+                    i.key
+                );
+            }
         }
         assert!(report.max_speedup() >= report.geomean_speedup());
     }
@@ -342,6 +432,24 @@ mod tests {
             .and_then(json::Value::as_num)
             .unwrap();
         assert!(geo > 0.0);
+        assert_eq!(
+            json::get(&fields, "passes").and_then(json::Value::as_num),
+            Some(PASSES as f64)
+        );
+        let cores = json::get(&fields, "host")
+            .and_then(json::Value::as_object)
+            .and_then(|h| json::get(h, "cores"))
+            .and_then(json::Value::as_num);
+        assert!(cores.is_some_and(|c| c >= 1.0));
+        let first = items[0].as_object().unwrap();
+        for field in ["sim_eps", "sim_eps_min", "sim_eps_max", "sim_ns_per_grant"] {
+            assert!(
+                json::get(first, field)
+                    .and_then(json::Value::as_num)
+                    .is_some_and(|v| v > 0.0),
+                "{field}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! E5-style sweeps evaluate Protocol ELECT against the gcd oracle over
 //! large families of random instances. This module is the scalable
-//! driver behind `qelectctl sweep`, the `sweep_random` binary and the
-//! `bench_sweep` criterion target:
+//! engine behind `qelectctl sweep` and the `bench_sweep` criterion
+//! target:
 //!
 //! * **Work-stealing fan-out** — trials are dealt round-robin onto
 //!   per-worker deques; a worker pops its own queue from the front and,
@@ -58,7 +58,7 @@ impl SweepBucket {
     }
 }
 
-/// The E5-style default buckets (mirrors the historical `sweep_random`).
+/// The E5-style default buckets.
 pub fn default_buckets() -> Vec<SweepBucket> {
     vec![
         SweepBucket {

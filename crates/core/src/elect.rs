@@ -165,12 +165,6 @@ async fn announce_all_inner<C: MobileCtxAsync>(
     Ok(())
 }
 
-/// The homes (map nodes) of a class, with the resident colors — only
-/// meaningful for black classes.
-fn class_homes(view: &LocalView, class: usize) -> Vec<usize> {
-    view.classes[class].clone()
-}
-
 /// **Test-only** fault injection for the exploration harness: seeded
 /// bugs that a correct exploration run must find and shrink. Production
 /// entry points always pass [`ElectFault::default`] (no faults).
@@ -272,7 +266,13 @@ pub async fn elect_from_view_with_async<C: MobileCtxAsync>(
     view: LocalView,
     fault: ElectFault,
 ) -> Result<AgentOutcome, Interrupt> {
-    let map = view.map.clone();
+    let LocalView {
+        map,
+        classes,
+        schedule,
+        my_class,
+        ..
+    } = view;
     let mut cr = Courier::new(ctx, map);
 
     // Crash-recovery bookkeeping (no-ops unless crash faults are armed;
@@ -310,18 +310,18 @@ pub async fn elect_from_view_with_async<C: MobileCtxAsync>(
     // Current active set, tracked only while this agent is active.
     // C_1 members start active; everyone else waits for activation (or
     // the final verdict).
-    let mut active: Option<Vec<usize>> = if view.my_class == 0 {
-        Some(class_homes(&view, 0))
+    let mut active: Option<Vec<usize>> = if my_class == 0 {
+        Some(classes[0].clone())
     } else {
         None
     };
 
-    for phase in &view.schedule.phases {
+    for phase in &schedule.phases {
         let tag = phase.number as u64;
         match &phase.kind {
             PhaseKind::AgentAgent { rounds } => {
-                let class_set = class_homes(&view, phase.class_index);
-                let joining = view.my_class == phase.class_index;
+                let class_set = classes[phase.class_index].clone();
+                let joining = my_class == phase.class_index;
                 if active.is_none() && !joining {
                     continue; // not my phase (yet)
                 }
@@ -385,7 +385,7 @@ pub async fn elect_from_view_with_async<C: MobileCtxAsync>(
                     Some(d) => d.clone(),
                     None => continue, // passive agents never see node phases
                 };
-                let selected = class_homes(&view, phase.class_index);
+                let selected = classes[phase.class_index].clone();
                 match node_reduce(&mut cr, tag, rounds, d_set, selected).await? {
                     ReduceExit::Active(survivors) => {
                         debug_assert_eq!(survivors.len(), phase.d_out);
@@ -403,7 +403,7 @@ pub async fn elect_from_view_with_async<C: MobileCtxAsync>(
         }
     }
 
-    let elects = (view.schedule.final_d == 1) != fault.invert_gcd_check;
+    let elects = (schedule.final_d == 1) != fault.invert_gcd_check;
     match active {
         Some(survivors) if elects => {
             debug_assert!(

@@ -28,13 +28,41 @@ pub struct MapEdge {
 }
 
 /// An agent's private chart of the network.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AgentMap {
-    /// `adj[v][p]` = the edge behind local port `p` at map node `v`
-    /// (`None` until explored; complete maps have no `None`s).
-    adj: Vec<Vec<Option<MapEdge>>>,
+    /// The edge behind every port, flat: map node `v`'s local ports
+    /// `0, 1, …` are the entries `starts[v]..starts[v + 1]` (`None` until
+    /// explored; complete maps have no `None`s).
+    edges: Vec<Option<MapEdge>>,
+    /// Where each map node's ports begin in `edges`, plus the end.
+    starts: Vec<usize>,
     /// Home-bases discovered: `(map node, resident color)`.
     homebases: Vec<(usize, Color)>,
+}
+
+impl Default for AgentMap {
+    fn default() -> AgentMap {
+        AgentMap {
+            edges: Vec::new(),
+            starts: vec![0],
+            homebases: Vec::new(),
+        }
+    }
+}
+
+/// Reusable breadth-first-search state for [`AgentMap::route`]: one
+/// scratch serves any number of routes, on maps of any size.
+#[derive(Debug, Clone, Default)]
+pub struct RouteScratch {
+    /// `seen[v] == epoch` iff the current search has reached `v`.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// The search-tree edge into each reached node.
+    prev: Vec<(usize, LocalPort)>,
+    /// The FIFO queue, consumed from the front by index.
+    queue: Vec<usize>,
+    /// The last route computed.
+    route: Vec<LocalPort>,
 }
 
 impl AgentMap {
@@ -46,39 +74,54 @@ impl AgentMap {
     /// Register a newly discovered node with the given degree; returns
     /// its map id.
     pub fn add_node(&mut self, degree: usize) -> usize {
-        self.adj.push(vec![None; degree]);
-        self.adj.len() - 1
+        self.edges.resize(self.edges.len() + degree, None);
+        self.starts.push(self.edges.len());
+        self.n() - 1
     }
 
     /// Number of nodes discovered so far.
     pub fn n(&self) -> usize {
-        self.adj.len()
+        self.starts.len() - 1
     }
 
     /// Degree of a map node.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        self.starts[v + 1] - self.starts[v]
+    }
+
+    /// The edges behind a map node's ports, in local-port order.
+    fn ports(&self, v: usize) -> &[Option<MapEdge>] {
+        &self.edges[self.starts[v]..self.starts[v + 1]]
+    }
+
+    /// Where port `p` of map node `v` sits in `edges`.
+    fn slot(&self, v: usize, p: LocalPort) -> usize {
+        assert!(
+            (p.0 as usize) < self.degree(v),
+            "no port {p} at map node {v}"
+        );
+        self.starts[v] + p.0 as usize
     }
 
     /// Record the edge `(u, p) ↔ (v, q)` (both directions). Idempotent.
     pub fn record_edge(&mut self, u: usize, p: LocalPort, v: usize, q: LocalPort) {
+        let (here, there) = (self.slot(u, p), self.slot(v, q));
         debug_assert!(
-            self.adj[u][p.0 as usize].is_none()
-                || self.adj[u][p.0 as usize] == Some(MapEdge { to: v, far_port: q }),
+            self.edges[here].is_none() || self.edges[here] == Some(MapEdge { to: v, far_port: q }),
             "conflicting edge record at ({u}, {p})"
         );
-        self.adj[u][p.0 as usize] = Some(MapEdge { to: v, far_port: q });
-        self.adj[v][q.0 as usize] = Some(MapEdge { to: u, far_port: p });
+        self.edges[here] = Some(MapEdge { to: v, far_port: q });
+        self.edges[there] = Some(MapEdge { to: u, far_port: p });
     }
 
     /// The edge behind a port, if explored.
     pub fn edge(&self, v: usize, p: LocalPort) -> Option<MapEdge> {
-        self.adj[v][p.0 as usize]
+        self.edges[self.slot(v, p)]
     }
 
     /// First unexplored port at a node, if any.
     pub fn unexplored_port(&self, v: usize) -> Option<LocalPort> {
-        self.adj[v]
+        self.ports(v)
             .iter()
             .position(|e| e.is_none())
             .map(|i| LocalPort(i as u32))
@@ -86,7 +129,7 @@ impl AgentMap {
 
     /// Whether every port of every node is explored.
     pub fn is_complete(&self) -> bool {
-        self.adj.iter().all(|row| row.iter().all(|e| e.is_some()))
+        self.edges.iter().all(Option::is_some)
     }
 
     /// Record a home-base (idempotent per node).
@@ -129,18 +172,15 @@ impl AgentMap {
     pub fn to_bicolored(&self) -> Bicolored {
         assert!(self.is_complete(), "map must be complete");
         let mut b = GraphBuilder::new(self.n());
-        let mut done = vec![Vec::new(); self.n()];
         for u in 0..self.n() {
-            for (p, e) in self.adj[u].iter().enumerate() {
+            for (p, e) in self.ports(u).iter().enumerate() {
                 let e = e.expect("complete");
-                // Add each edge once: skip if the reverse was added.
-                if done[u].contains(&(p as u32)) {
-                    continue;
+                // Add each edge once, at its first end in (node, port)
+                // order (the two ends of a loop differ in their ports).
+                if (u, p as u32) < (e.to, e.far_port.0) {
+                    b.add_edge_with_ports(u, e.to, Port(p as u32), Port(e.far_port.0))
+                        .expect("map edges are valid");
                 }
-                b.add_edge_with_ports(u, e.to, Port(p as u32), Port(e.far_port.0))
-                    .expect("map edges are valid");
-                done[e.to].push(e.far_port.0);
-                done[u].push(p as u32);
             }
         }
         let homes: Vec<usize> = self.homebases().iter().map(|&(v, _)| v).collect();
@@ -148,40 +188,65 @@ impl AgentMap {
             .expect("home-bases are valid map nodes")
     }
 
-    /// Shortest route (sequence of local ports) from `from` to `to`.
-    pub fn route(&self, from: usize, to: usize) -> Vec<LocalPort> {
+    /// Shortest route (sequence of local ports) from `from` to `to`,
+    /// computed on `scratch` and returned from it. Breadth-first, with
+    /// each node's neighbours in local-port order; a node's route goes
+    /// through the first predecessor that reaches it.
+    pub fn route<'s>(
+        &self,
+        from: usize,
+        to: usize,
+        scratch: &'s mut RouteScratch,
+    ) -> &'s [LocalPort] {
+        let RouteScratch {
+            seen,
+            epoch,
+            prev,
+            queue,
+            route,
+        } = scratch;
+        route.clear();
         if from == to {
-            return Vec::new();
+            return route;
         }
         let n = self.n();
-        let mut prev: Vec<Option<(usize, LocalPort)>> = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(from);
-        let mut seen = vec![false; n];
-        seen[from] = true;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for (p, e) in self.adj[u].iter().enumerate() {
+        if seen.len() < n {
+            seen.resize(n, 0);
+            prev.resize(n, (0, LocalPort(0)));
+        }
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            seen.fill(0);
+            *epoch = 1;
+        }
+        let epoch = *epoch;
+        queue.clear();
+        queue.push(from);
+        seen[from] = epoch;
+        let mut head = 0;
+        'bfs: while let Some(&u) = queue.get(head) {
+            head += 1;
+            for (p, e) in self.ports(u).iter().enumerate() {
                 let e = e.expect("complete map");
-                if !seen[e.to] {
-                    seen[e.to] = true;
-                    prev[e.to] = Some((u, LocalPort(p as u32)));
+                if seen[e.to] != epoch {
+                    seen[e.to] = epoch;
+                    prev[e.to] = (u, LocalPort(p as u32));
                     if e.to == to {
                         break 'bfs;
                     }
-                    queue.push_back(e.to);
+                    queue.push(e.to);
                 }
             }
         }
-        // Reconstruct.
-        let mut ports = Vec::new();
+        assert_eq!(seen[to], epoch, "connected map");
         let mut v = to;
         while v != from {
-            let (u, p) = prev[v].expect("connected map");
-            ports.push(p);
+            let (u, p) = prev[v];
+            route.push(p);
             v = u;
         }
-        ports.reverse();
-        ports
+        route.reverse();
+        route
     }
 
     /// An Euler-tour route over a DFS spanning tree starting and ending
@@ -198,17 +263,17 @@ impl AgentMap {
         let mut stack = vec![(root, 0usize)];
         while let Some(frame) = stack.last_mut() {
             let (v, p) = *frame;
-            if p == self.adj[v].len() {
+            if p == self.degree(v) {
                 stack.pop();
                 if let Some(&(u, q)) = stack.last() {
                     // Walk back up the tree edge `u` left through.
-                    let e = self.adj[u][q - 1].expect("complete map");
+                    let e = self.ports(u)[q - 1].expect("complete map");
                     route.push(e.far_port);
                 }
                 continue;
             }
             frame.1 += 1;
-            let e = self.adj[v][p].expect("complete map");
+            let e = self.ports(v)[p].expect("complete map");
             if !visited[e.to] {
                 visited[e.to] = true;
                 route.push(LocalPort(p as u32));
@@ -235,6 +300,7 @@ impl AgentMap {
 mod tests {
     use super::*;
     use qelect_agentsim::ColorRegistry;
+    use qelect_graph::{families, Graph};
 
     /// Build the map of a triangle by hand.
     fn triangle_map() -> AgentMap {
@@ -272,10 +338,81 @@ mod tests {
     #[test]
     fn routes_are_shortest() {
         let m = triangle_map();
-        let r = m.route(0, 2);
+        let mut scratch = RouteScratch::default();
+        let r = m.route(0, 2, &mut scratch).to_vec();
         assert_eq!(r.len(), 1);
         assert_eq!(m.trace(0, &r), vec![2]);
-        assert!(m.route(1, 1).is_empty());
+        assert!(m.route(1, 1, &mut scratch).is_empty());
+    }
+
+    /// The complete map of `g` numbered as `g` is, with local ports in
+    /// increasing port order.
+    fn map_of(g: &Graph) -> AgentMap {
+        let mut m = AgentMap::new();
+        for v in 0..g.n() {
+            m.add_node(g.degree(v));
+        }
+        for v in 0..g.n() {
+            for (p, &inc) in g.incidences(v).iter().enumerate() {
+                let (w, arrival) = g.across(inc);
+                let q = g.ports_at(w).iter().position(|&x| x == arrival).unwrap();
+                m.record_edge(v, LocalPort(p as u32), w, LocalPort(q as u32));
+            }
+        }
+        m
+    }
+
+    /// The shortest routes from `from` to every node, by a plain
+    /// breadth-first search: neighbours in port order, first predecessor
+    /// wins.
+    fn reference_routes(m: &AgentMap, from: usize) -> Vec<Vec<LocalPort>> {
+        let mut prev: Vec<Option<(usize, LocalPort)>> = vec![None; m.n()];
+        let mut seen = vec![false; m.n()];
+        let mut queue = std::collections::VecDeque::from([from]);
+        seen[from] = true;
+        while let Some(u) = queue.pop_front() {
+            for p in 0..m.degree(u) {
+                let e = m.edge(u, LocalPort(p as u32)).unwrap();
+                if !seen[e.to] {
+                    seen[e.to] = true;
+                    prev[e.to] = Some((u, LocalPort(p as u32)));
+                    queue.push_back(e.to);
+                }
+            }
+        }
+        let route_to = |mut v: usize| {
+            let mut route = Vec::new();
+            while v != from {
+                let (u, p) = prev[v].unwrap();
+                route.push(p);
+                v = u;
+            }
+            route.reverse();
+            route
+        };
+        (0..m.n()).map(route_to).collect()
+    }
+
+    #[test]
+    fn routes_match_a_reference_bfs_with_one_scratch_across_maps() {
+        let mut scratch = RouteScratch::default();
+        for g in [
+            families::fig2c_gadget().unwrap(),
+            families::cycle(300).unwrap(),
+            families::fig2c_gadget().unwrap(),
+        ] {
+            let m = map_of(&g);
+            for from in 0..m.n() {
+                for (to, want) in reference_routes(&m, from).iter().enumerate() {
+                    assert_eq!(
+                        m.route(from, to, &mut scratch),
+                        want,
+                        "n = {}: {from} → {to}",
+                        m.n()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! [`SyncCtx`](qelect_agentsim::SyncCtx) (whose primitives block inside
 //! the poll, so the future completes on its first poll).
 
-use crate::map::AgentMap;
+use crate::map::{AgentMap, RouteScratch};
 use crate::schedule::{AgentRound, NodeRound};
 use qelect_agentsim::{Color, Interrupt, MobileCtxAsync, Sign, SignKind, Whiteboard};
 
@@ -46,12 +46,19 @@ pub struct Courier<'c, C: MobileCtxAsync> {
     pub map: AgentMap,
     /// Current map node.
     pub pos: usize,
+    /// Reused by every [`Courier::goto`].
+    routes: RouteScratch,
 }
 
 impl<'c, C: MobileCtxAsync> Courier<'c, C> {
     /// Create a courier at the home-base (map node 0).
     pub fn new(ctx: &'c mut C, map: AgentMap) -> Self {
-        Courier { ctx, map, pos: 0 }
+        Courier {
+            ctx,
+            map,
+            pos: 0,
+            routes: RouteScratch::default(),
+        }
     }
 
     /// My color.
@@ -61,8 +68,8 @@ impl<'c, C: MobileCtxAsync> Courier<'c, C> {
 
     /// Travel to a map node by the shortest route.
     pub async fn goto(&mut self, node: usize) -> Result<(), Interrupt> {
-        let route = self.map.route(self.pos, node);
-        for p in route {
+        let route = self.map.route(self.pos, node, &mut self.routes);
+        for &p in route {
             self.ctx.move_via(p).await?;
         }
         self.pos = node;

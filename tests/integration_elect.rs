@@ -249,3 +249,76 @@ fn elect_work_scales_with_r_times_edges() {
         assert!(*r < 80.0, "constant blew up: {ratios:?}");
     }
 }
+
+/// FNV-1a, 64 bit: a dependency-free digest that is stable across
+/// platforms and toolchains.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+#[test]
+fn elect_event_logs_match_the_parent() {
+    // Both engines run one kernel, so the engine differential compares
+    // that kernel with itself: a wrong port translation, a different
+    // (still shortest) route or another valid scramble could pass it and
+    // even keep the audit's move counts. This pins the full sim event
+    // log, the per-agent costs and the outcomes of every suite instance
+    // over seeds 0–2, scrambling on and off, crash-free and with one
+    // crash-restart of agent 0. The digests were recorded before the
+    // kernel's flat-topology rewrite; any change to the protocol's
+    // observable execution changes them.
+    const PINS: [(&str, u64); 12] = [
+        ("C5/1", 0x1120_d786_cd1d_c247),
+        ("C6/antipodal", 0xabc4_3584_162d_29d9),
+        ("C6/trio", 0xa38c_d6f7_7f9e_e9db),
+        ("C7/trio", 0x7295_a76c_634d_27ed),
+        ("P4/pair", 0x4908_0ac3_4f0a_a849),
+        ("Q3/antipodal", 0x1cc5_9e9c_a7d4_a41f),
+        ("Q3/trio", 0x862b_bdec_f420_a92e),
+        ("Petersen/pair", 0xbe93_2b25_beea_b8b2),
+        ("Torus3x3/pair", 0x6fe7_ff22_4436_c5b1),
+        ("Star/center+leaf", 0x3f4f_859f_4ae1_8aa5),
+        ("K4/pair", 0xad0e_e513_4fa7_763d),
+        ("Tree/pair", 0x7268_5acc_5f24_157d),
+    ];
+    let crash = FaultPlan {
+        events: vec![qelect_agentsim::FaultEvent {
+            agent: 0,
+            at_op: 30,
+            action: qelect_agentsim::FaultAction::Crash { restart_after: 1 },
+        }],
+        recovery: Default::default(),
+    };
+    let mut got = Vec::new();
+    for (label, bc) in suite() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..3 {
+            for scramble in [true, false] {
+                for plan in [FaultPlan::none(), crash.clone()] {
+                    let cfg = RunConfig::new(seed)
+                        .engine(Engine::Sim)
+                        .scramble_ports(scramble)
+                        .record_trace(true)
+                        .faults(plan);
+                    let report = run_election(&bc, &cfg).unwrap().report;
+                    fnv1a(
+                        &mut hash,
+                        report.to_trace(&bc, seed, label).to_json().as_bytes(),
+                    );
+                    for (moves, accesses, waits) in &report.metrics.per_agent {
+                        for word in [moves, accesses, waits] {
+                            fnv1a(&mut hash, &word.to_le_bytes());
+                        }
+                    }
+                    fnv1a(&mut hash, format!("{:?}", report.outcomes).as_bytes());
+                }
+            }
+        }
+        got.push((label, hash));
+    }
+    let want: Vec<(&str, u64)> = PINS.to_vec();
+    assert_eq!(got, want, "event-log digests moved");
+}
