@@ -322,3 +322,109 @@ fn elect_event_logs_match_the_parent() {
     let want: Vec<(&str, u64)> = PINS.to_vec();
     assert_eq!(got, want, "event-log digests moved");
 }
+
+/// The digest of one recorded run: the `qelect-trace/1` JSON, the
+/// per-agent (moves, accesses, waits) and the outcomes.
+fn digest_run(hash: &mut u64, bc: &Bicolored, seed: u64, label: &str, report: &RunReport) {
+    fnv1a(hash, report.to_trace(bc, seed, label).to_json().as_bytes());
+    for (moves, accesses, waits) in &report.metrics.per_agent {
+        for word in [moves, accesses, waits] {
+            fnv1a(hash, &word.to_le_bytes());
+        }
+    }
+    fnv1a(hash, format!("{:?}", report.outcomes).as_bytes());
+}
+
+fn placed(g: qelect_graph::Graph, homes: &[usize]) -> Bicolored {
+    Bicolored::new(g, homes).unwrap()
+}
+
+/// ELECT with only `initiator` awake: everyone else sleeps at home until
+/// a sign other than its `HomeBase` mark appears there.
+fn staggered_elect(bc: &Bicolored, cfg: &RunConfig, initiator: usize) -> RunReport {
+    use qelect_agentsim::gated::{run_gated_staggered, GatedAgent};
+    let agents: Vec<GatedAgent> = (0..bc.r())
+        .map(|_| -> GatedAgent { Box::new(qelect::elect::elect) })
+        .collect();
+    run_gated_staggered(bc, cfg.to_gated(), agents, &[initiator])
+}
+
+/// The quantitative state machine driven natively, agent `i` with label
+/// `100 + i`.
+fn quant_machine_native(bc: &Bicolored, cfg: &RunConfig) -> RunReport {
+    use qelect::stepquant::QuantMachine;
+    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent};
+    use qelect_agentsim::stepagent::drive;
+    let agents: Vec<GatedAgent> = (0..bc.r() as u64)
+        .map(|i| -> GatedAgent { Box::new(move |ctx| drive(&mut QuantMachine::new(100 + i), ctx)) })
+        .collect();
+    run_gated_faulty(bc, cfg.to_gated(), &FaultPlan::none(), agents).unwrap()
+}
+
+#[test]
+fn registry_event_logs_match_the_parent() {
+    // An independent reference for every registry protocol, the
+    // staggered wake-up and the native state-machine drive: the full
+    // event log, per-agent costs and outcomes over seeds 0–2 with
+    // scrambling on and off. The digests were recorded before the
+    // protocols moved to one engine; any change to a protocol's
+    // observable execution changes them.
+    const PINS: [(&str, u64); 11] = [
+        ("elect", 0x5f6b_b642_e97d_55be),
+        ("cayley", 0x2de2_1154_1f47_71a8),
+        ("quantitative", 0x28c0_7b2f_c7d8_b948),
+        ("view", 0xff44_b3b0_1085_5e4d),
+        ("gather", 0x9699_1b55_7959_9fad),
+        ("petersen", 0xe58d_8515_434d_aa08),
+        ("anonymous", 0xbfd7_18a9_465e_7756),
+        ("dp-anon", 0x66b7_9868_b0fa_b967),
+        ("agent-elect", 0xd7c7_f64a_bbd8_206b),
+        ("staggered-elect", 0x2de3_a8a7_0ac4_e95d),
+        ("quant-machine", 0x19d7_d4f7_8c59_1969),
+    ];
+    let c7 = || placed(families::cycle(7).unwrap(), &[0, 1, 3]);
+    let c6 = || placed(families::cycle(6).unwrap(), &[0, 3]);
+    let q3 = || placed(families::hypercube(3).unwrap(), &[0, 5, 7]);
+    let p5 = || placed(families::path(5).unwrap(), &[1, 3]);
+    let instances = |name: &str| -> Vec<Bicolored> {
+        match name {
+            "petersen" => vec![
+                placed(families::petersen().unwrap(), &[0, 1]),
+                placed(families::petersen().unwrap(), &[5, 7]),
+            ],
+            "anonymous" => vec![c6(), c7()],
+            "dp-anon" | "agent-elect" => vec![c7(), c6(), p5()],
+            "staggered-elect" => vec![c7(), placed(families::cycle(6).unwrap(), &[0, 2, 3])],
+            _ => vec![c7(), c6(), q3()],
+        }
+    };
+    let mut got = Vec::new();
+    for (name, _) in PINS {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for bc in instances(name) {
+            for seed in 0..3 {
+                for scramble in [true, false] {
+                    let cfg = RunConfig::new(seed)
+                        .scramble_ports(scramble)
+                        .record_trace(true);
+                    let reports = match name {
+                        "staggered-elect" => (0..bc.r())
+                            .map(|initiator| staggered_elect(&bc, &cfg, initiator))
+                            .collect(),
+                        "quant-machine" => vec![quant_machine_native(&bc, &cfg)],
+                        _ => {
+                            let entry = qelect::registry::resolve(name).unwrap();
+                            vec![entry.run(&bc, &cfg).unwrap().report]
+                        }
+                    };
+                    for report in &reports {
+                        digest_run(&mut hash, &bc, seed, name, report);
+                    }
+                }
+            }
+        }
+        got.push((name, hash));
+    }
+    let want: Vec<(&str, u64)> = PINS.to_vec();
+    assert_eq!(got, want, "registry event-log digests moved");
+}
