@@ -16,12 +16,10 @@
 //!   under one lock so [`CoverageMap::stats`] never sees half of an
 //!   observation.
 //!
-//! Because both deterministic engines produce byte-identical grant
-//! sequences, outcomes and leaders for the same `(instance, seed,
-//! schedule)`, the signature is engine-portable: `--engine gated` and
-//! `--engine sim` cover the same points (pinned by a property test).
+//! Because a run is a pure function of `(instance, seed, schedule)`, so
+//! is its signature: a schedule covers the same point on every run.
 
-use crate::gated::RunReport;
+use crate::sim::RunReport;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn signature_separates_interleavings_and_ignores_jitter() {
         use crate::ctx::AgentOutcome;
-        use crate::gated::RunReport;
+        use crate::sim::RunReport;
         let rep = |outcomes: Vec<AgentOutcome>, leader: Option<usize>| RunReport {
             outcomes,
             leader,

@@ -1,7 +1,7 @@
 //! Systematic schedule exploration — the adversary, exhaustively, then
 //! at swarm scale.
 //!
-//! The deterministic engines make a run a pure function of the grant
+//! The deterministic engine makes a run a pure function of the grant
 //! sequence, so the space of behaviors on an instance is exactly the
 //! tree of scheduler choices. This module walks that tree behind one
 //! registry-native entry point, [`ExploreSession`]:
@@ -43,10 +43,10 @@
 //! at most `preemption_bound` preemptions.
 
 use crate::coverage::{signature_with, CoverageMap, CoverageStats};
-use crate::gated::{self, RunReport};
 use crate::registry::{ExploreSpec, ProtocolEntry};
-use crate::run::{Engine, RunConfig, RunError};
+use crate::run::{RunConfig, RunError};
 use crate::sched::{RandomScheduler, ReplayScheduler, Scheduler};
+use crate::sim::{self, RunReport};
 use crate::trace::Trace;
 use parking_lot::Mutex;
 use qelect_graph::Bicolored;
@@ -345,11 +345,8 @@ const SWARM_ROUND: usize = 1024;
 /// entries are evicted first.
 const FRONTIER_CAP: usize = 256;
 
-type ExploreDriver<'a> = Box<
-    dyn Fn(&gated::RunConfig, Engine, &mut dyn Scheduler) -> Result<RunReport, RunError>
-        + Sync
-        + 'a,
->;
+type ExploreDriver<'a> =
+    Box<dyn Fn(&sim::RunConfig, &mut dyn Scheduler) -> Result<RunReport, RunError> + Sync + 'a>;
 type ExploreProperty<'a> = Box<dyn Fn(&RunReport) -> Result<(), String> + Sync + 'a>;
 
 struct SwarmTask {
@@ -380,19 +377,18 @@ struct SwarmOutcome {
 pub struct ExploreSession<'a> {
     /// Hot-loop config: trace recording off (grants are recorded on the
     /// scheduler side instead).
-    hot_cfg: gated::RunConfig,
+    hot_cfg: sim::RunConfig,
     /// Artifact config: full trace + event recording, for
     /// counterexamples and emitted witnesses.
-    full_cfg: gated::RunConfig,
-    engine: Engine,
+    full_cfg: sim::RunConfig,
     violation_expected: bool,
     driver: ExploreDriver<'a>,
     property: ExploreProperty<'a>,
 }
 
 impl<'a> ExploreSession<'a> {
-    /// A session for a registry protocol: `entry` must be explorable and
-    /// support `cfg.engine`. The engine slice of `cfg` (seed, policy, step budget, scrambling)
+    /// A session for a registry protocol: `entry` must be explorable. The
+    /// engine slice of `cfg` (seed, policy, step budget, scrambling)
     /// configures every run of the session.
     pub fn from_entry(
         entry: &'static ProtocolEntry,
@@ -405,37 +401,21 @@ impl<'a> ExploreSession<'a> {
                 entry.id
             )
         })?;
-        if !entry.supports(cfg.engine) {
-            return Err(format!(
-                "protocol '{}' does not support engine '{}'",
-                entry.id,
-                cfg.engine.name()
-            ));
-        }
-        Ok(ExploreSession::from_spec(
-            spec,
-            bc,
-            cfg.to_gated(),
-            cfg.engine,
-        ))
+        Ok(ExploreSession::from_spec(spec, bc, cfg.to_sim()))
     }
 
     /// A session directly from an [`ExploreSpec`] (the registry-native
     /// building block [`ExploreSession::from_entry`] wraps; callers that
-    /// already hold a spec and have validated the engine use this).
+    /// already hold a spec use this).
     pub fn from_spec(
         spec: &'static ExploreSpec,
         bc: &'a Bicolored,
-        run_cfg: gated::RunConfig,
-        engine: Engine,
+        run_cfg: sim::RunConfig,
     ) -> ExploreSession<'a> {
         ExploreSession::with_driver(
             run_cfg,
-            engine,
             spec.violation_expected,
-            move |cfg: &gated::RunConfig, engine: Engine, sched: &mut dyn Scheduler| {
-                (spec.run)(bc, cfg, engine, sched)
-            },
+            move |cfg: &sim::RunConfig, sched: &mut dyn Scheduler| (spec.run)(bc, cfg, sched),
             move |rep: &RunReport| (spec.property)(bc, rep),
         )
     }
@@ -444,37 +424,28 @@ impl<'a> ExploreSession<'a> {
     /// fault-injection self-tests, which explore deliberately broken
     /// protocol variants that have no registry entry).
     pub fn with_driver<F, P>(
-        run_cfg: gated::RunConfig,
-        engine: Engine,
+        run_cfg: sim::RunConfig,
         violation_expected: bool,
         driver: F,
         property: P,
     ) -> ExploreSession<'a>
     where
-        F: Fn(&gated::RunConfig, Engine, &mut dyn Scheduler) -> Result<RunReport, RunError>
-            + Sync
-            + 'a,
+        F: Fn(&sim::RunConfig, &mut dyn Scheduler) -> Result<RunReport, RunError> + Sync + 'a,
         P: Fn(&RunReport) -> Result<(), String> + Sync + 'a,
     {
         ExploreSession {
-            hot_cfg: gated::RunConfig {
+            hot_cfg: sim::RunConfig {
                 record_trace: false,
                 ..run_cfg
             },
-            full_cfg: gated::RunConfig {
+            full_cfg: sim::RunConfig {
                 record_trace: true,
                 ..run_cfg
             },
-            engine,
             violation_expected,
             driver: Box::new(driver),
             property: Box::new(property),
         }
-    }
-
-    /// The engine every run of this session uses.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The session's master seed.
@@ -494,14 +465,14 @@ impl<'a> ExploreSession<'a> {
     }
 
     fn run_hot(&self, sched: &mut dyn Scheduler) -> RunReport {
-        (self.driver)(&self.hot_cfg, self.engine, sched).expect("explore driver failed")
+        (self.driver)(&self.hot_cfg, sched).expect("explore driver failed")
     }
 
     /// Re-run `schedule` under strict replay with full recording — the
     /// counterexample packager (determinism makes this byte-exact).
     fn package(&self, schedule: Vec<usize>, violation: String) -> CounterExample {
         let mut replayer = ReplayScheduler::strict(schedule.clone());
-        let report = (self.driver)(&self.full_cfg, self.engine, &mut replayer)
+        let report = (self.driver)(&self.full_cfg, &mut replayer)
             .expect("explore driver failed while re-recording a counterexample");
         CounterExample {
             schedule,
@@ -514,8 +485,7 @@ impl<'a> ExploreSession<'a> {
     /// still fails — the shrinker's oracle.
     pub fn replay_fails(&self, schedule: &[usize]) -> bool {
         let mut replayer = ReplayScheduler::new(schedule.to_vec());
-        let rep = (self.driver)(&self.hot_cfg, self.engine, &mut replayer)
-            .expect("explore driver failed");
+        let rep = (self.driver)(&self.hot_cfg, &mut replayer).expect("explore driver failed");
         self.check(&rep).is_err()
     }
 
@@ -529,14 +499,14 @@ impl<'a> ExploreSession<'a> {
     /// (for emitting witness artifacts from shrunk schedules).
     pub fn rerecord(&self, schedule: &[usize]) -> RunReport {
         let mut replayer = ReplayScheduler::new(schedule.to_vec());
-        (self.driver)(&self.full_cfg, self.engine, &mut replayer).expect("explore driver failed")
+        (self.driver)(&self.full_cfg, &mut replayer).expect("explore driver failed")
     }
 
     /// One policy-scheduled run with full recording (the "reference run"
     /// artifact emitted when exploration finds no violation).
     pub fn record_reference(&self) -> RunReport {
         let mut sched = self.full_cfg.policy.build(self.full_cfg.seed);
-        (self.driver)(&self.full_cfg, self.engine, sched.as_mut()).expect("explore driver failed")
+        (self.driver)(&self.full_cfg, sched.as_mut()).expect("explore driver failed")
     }
 
     /// Explore the schedule space: bounded DFS, then the coverage-guided
@@ -800,49 +770,59 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{AgentOutcome, MobileCtx};
+    use crate::ctx::{AgentOutcome, Interrupt, MobileCtxAsync};
     use crate::fault::FaultPlan;
-    use crate::gated::{try_run_gated_with, GatedAgent, RunConfig};
+    use crate::run::Protocol;
     use crate::sign::{Sign, SignKind};
+    use crate::sim::{try_run_sim_with, RunConfig};
     use qelect_graph::{families, Bicolored};
 
-    /// Two racers walk to C3's shared free node (2) and race to claim
-    /// it; whoever posts first wins. Every schedule yields exactly one
-    /// winner — so the "exactly one leader" property holds universally.
-    fn race_run(bc: &Bicolored, cfg: &RunConfig, scheduler: &mut dyn Scheduler) -> RunReport {
-        let mk = || -> GatedAgent {
-            Box::new(|ctx| {
-                for _ in 0..3 {
-                    let board = ctx.read_board()?;
-                    if !board.iter().any(|s| s.kind == SignKind::HomeBase) {
-                        break;
-                    }
-                    let entry = ctx.entry();
-                    let fwd = ctx
-                        .ports()
-                        .into_iter()
-                        .find(|&p| Some(p) != entry)
-                        .expect("degree 2");
-                    ctx.move_via(fwd)?;
+    /// Walk to C3's shared free node (2) and race to claim it; whoever
+    /// posts first wins.
+    #[derive(Clone)]
+    struct Racer;
+    impl Protocol for Racer {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            for _ in 0..3 {
+                let board = ctx.read_board().await?;
+                if !board.iter().any(|s| s.kind == SignKind::HomeBase) {
+                    break;
                 }
-                let me = ctx.color();
-                let won = ctx.with_board(move |wb| {
+                let entry = ctx.entry();
+                let fwd = ctx
+                    .ports()
+                    .into_iter()
+                    .find(|&p| Some(p) != entry)
+                    .expect("degree 2");
+                ctx.move_via(fwd).await?;
+            }
+            let me = ctx.color();
+            let won = ctx
+                .with_board(move |wb| {
                     if wb.find_kind(SignKind::Custom(1)).is_none() {
                         wb.post(Sign::tag(me, SignKind::Custom(1)));
                         true
                     } else {
                         false
                     }
-                })?;
-                Ok(if won {
-                    AgentOutcome::Leader
-                } else {
-                    AgentOutcome::Defeated
                 })
+                .await?;
+            Ok(if won {
+                AgentOutcome::Leader
+            } else {
+                AgentOutcome::Defeated
             })
-        };
-        try_run_gated_with(bc, *cfg, &FaultPlan::none(), vec![mk(), mk()], scheduler)
-            .expect("gated run failed")
+        }
+    }
+
+    /// Two racers on C3: every schedule yields exactly one winner — so
+    /// the "exactly one leader" property holds universally.
+    fn race_run(bc: &Bicolored, cfg: &RunConfig, scheduler: &mut dyn Scheduler) -> RunReport {
+        try_run_sim_with(bc, *cfg, &FaultPlan::none(), vec![Racer; 2], scheduler)
+            .expect("sim run failed")
     }
 
     fn race_session<'a, P>(
@@ -858,9 +838,8 @@ mod tests {
                 seed: 7,
                 ..RunConfig::default()
             },
-            Engine::Gated,
             violation_expected,
-            move |cfg, _engine, sched| Ok(race_run(bc, cfg, sched)),
+            move |cfg, sched| Ok(race_run(bc, cfg, sched)),
             property,
         )
     }

@@ -7,15 +7,15 @@
 //! [`FaultEvent`] fires when that counter reaches the event's `at_op`.
 //! The counter depends only on the agent's own program order, never on
 //! the interleaving, so one plan addresses the same boundary under every
-//! schedule and on both engines, and replaying a plan under a recorded
-//! schedule reproduces the run bit-for-bit.
+//! schedule, and replaying a plan under a recorded schedule reproduces
+//! the run bit-for-bit.
 //!
 //! The fault model is the classical *crash with persistent whiteboards*:
 //! a crashed agent loses its pending operation and its entire volatile
 //! memory (position, entry port, local maps) but every sign it wrote
 //! stays on the boards; the engine restarts it at its home-base after a
 //! bounded backoff, with only the incarnation index
-//! ([`crate::MobileCtx::incarnation`]) distinguishing the restart from a
+//! ([`crate::MobileCtxAsync::incarnation`]) distinguishing the restart from a
 //! fresh start. Recovery correctness then rests on the protocol's signs
 //! being monotone (ELECT never erases), which is exactly what the
 //! paper's whiteboard discipline provides.
@@ -96,7 +96,7 @@ impl RecoveryPolicy {
 /// A deterministic fault schedule for one run.
 ///
 /// The empty plan (`FaultPlan::default()`) injects nothing and is free:
-/// engines skip every fault check that could perturb a crash-free run.
+/// the engine skips every fault check that could perturb a crash-free run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The injected faults, in any order (each agent's events are sorted
@@ -118,7 +118,7 @@ impl FaultPlan {
     }
 
     /// Whether any event is a crash (protocols arm recovery journaling
-    /// exactly when this holds; see [`crate::MobileCtx::crash_faults_armed`]).
+    /// exactly when this holds; see [`crate::MobileCtxAsync::crash_faults_armed`]).
     pub fn has_crashes(&self) -> bool {
         self.events
             .iter()
@@ -297,8 +297,8 @@ pub fn shrink_plan(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> 
 }
 
 /// Per-agent runtime cursor over a plan: the monotone operation counter
-/// plus the agent's pending events and incarnation index. Engines own
-/// one per agent.
+/// plus the agent's pending events and incarnation index. The engine
+/// owns one per agent.
 #[derive(Debug, Clone)]
 pub struct FaultClock {
     events: Vec<(u64, FaultAction)>,
@@ -420,9 +420,9 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Plain-data snapshot. The engines take it only after every agent
-    /// thread has joined, so no writer is live and the counters (one
-    /// crash bumps `crashes` and `lost_ops` together) are never torn.
+    /// Plain-data snapshot. The engine takes it only after every agent
+    /// has finished, so no writer is live and the counters (one crash
+    /// bumps `crashes` and `lost_ops` together) are never torn.
     pub fn snapshot(&self) -> FaultSummary {
         FaultSummary {
             crashes: self.crashes.load(Ordering::Relaxed),

@@ -95,7 +95,7 @@ pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
 /// | `qelect-request/1` | `qelectd` clients (`qelectctl load`, curl) | the `qelectd` daemon |
 /// | `qelect-response/1` | the `qelectd` daemon (election, `/healthz`, `/metrics`, error bodies) | `qelectctl load`, curl |
 /// | `qelect-load/1` | `qelectctl load` (and the committed `BENCH_serve.json`) | the serving benchmark gate |
-/// | `qelect-simbench/1` | `qelectctl simbench` (and the committed `BENCH_sim.json`) | the engine-throughput record |
+/// | `qelect-simbench/2` | `qelectctl simbench` (and the committed `BENCH_sim.json`) | the engine-throughput record |
 /// | `qelect-canonbench/2` | `qelectctl canonbench` (and the committed `BENCH_canon.json`) | the canonicalization-kernel and ELECT end-to-end scaling record |
 /// | `qelect-zoo/1` | `qelectctl zoo` (and the committed `BENCH_zoo.json`) | the cross-protocol experiment gate |
 /// | `qelect-explore/1` | `qelectctl explore --json` (and the committed `BENCH_explore.json`) | the schedule-exploration coverage record |
@@ -120,8 +120,8 @@ pub mod envelope {
     /// `qelectctl load` reports (and the committed `BENCH_serve.json`).
     pub const LOAD: &str = "qelect-load/1";
     /// `qelectctl simbench` reports (and the committed `BENCH_sim.json`):
-    /// gated-vs-sim election throughput on a shared instance family.
-    pub const SIMBENCH: &str = "qelect-simbench/1";
+    /// sim-engine election throughput on a shared instance family.
+    pub const SIMBENCH: &str = "qelect-simbench/2";
     /// `qelectctl canonbench` reports (and the committed
     /// `BENCH_canon.json`): oracle-vs-worklist canonicalization timings
     /// with a built-in byte-identity check, and the ELECT end-to-end
@@ -155,7 +155,7 @@ pub mod envelope {
                 "qelectd responses (elections, health, metrics, errors)",
             ),
             (LOAD, "qelectctl load serving-benchmark reports"),
-            (SIMBENCH, "gated-vs-sim engine-throughput reports"),
+            (SIMBENCH, "sim-engine throughput reports"),
             (CANONBENCH, "canonicalization and ELECT scaling reports"),
             (ZOO, "cross-protocol zoo experiment reports"),
             (EXPLORE, "schedule-exploration coverage reports"),

@@ -1,9 +1,7 @@
-//! The scheduler kernel both deterministic engines run on.
+//! The scheduler kernel of the discrete-event engine ([`crate::sim`]).
 //!
-//! [`crate::gated`] and [`crate::sim`] differ in one thing only: how a
-//! parked agent waits for its grant. A gated agent is an OS thread that
-//! blocks on a channel; a sim agent is a future that returns `Pending`.
-//! Everything else lives here, once:
+//! Agents are futures parked at gates; everything they share lives
+//! here, once:
 //!
 //! * **the world** (`World`): the flat topology, the whiteboards,
 //!   metrics, span trackers, checkpoints, the event log, fault
@@ -11,15 +9,14 @@
 //!   premarking;
 //! * **the primitives** (`Agent`): the fault gate, crash restart, and
 //!   the read / write / move / wait bookkeeping, written once as async
-//!   code over a `Link` — the engine's gate;
+//!   code that parks at a `Gate` until the scheduler answers;
 //! * **the grant decision** (`Grants`): the ready set, deadlock
 //!   detection, the step limit, the preemption count and the recorded
 //!   grant sequence;
 //! * **report assembly** (`Grants::report`).
 //!
-//! So the two engines produce byte-identical reports by construction;
-//! what is left to argue is only that their handoffs deliver the same
-//! verdicts in the same order (DESIGN.md §12).
+//! [`crate::sim`] is only the scheduler loop that polls the agents and
+//! hands out verdicts (DESIGN.md §12).
 
 use crate::color::{Color, ColorRegistry};
 use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync};
@@ -32,9 +29,11 @@ use crate::trace::{sign_kind_code, PrimOp, Trace, TraceEvent};
 use crate::whiteboard::Whiteboard;
 use qelect_graph::cache::{self, CacheStats};
 use qelect_graph::{Bicolored, End, Graph, Incidence};
+use std::cell::RefCell;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::task::{Context, Poll};
 
@@ -90,7 +89,7 @@ pub struct RunReport {
     /// The grant sequence (agent index per scheduler step), recorded
     /// only when [`RunConfig::record_trace`] is set. Two runs with the
     /// same `(instance, protocol, policy, seed)` produce identical
-    /// traces — the engines' determinism contract.
+    /// traces — the engine's determinism contract.
     pub trace: Vec<usize>,
     /// Per-primitive event log (what each grant was spent on), recorded
     /// only when [`RunConfig::record_trace`] is set.
@@ -145,7 +144,7 @@ pub(crate) enum Park {
 
 /// The state every agent of one run shares. Between grants only the
 /// granted agent changes its shared parts (boards, events, checkpoints;
-/// DESIGN.md §12.3), and the scheduler reads it only while every agent
+/// DESIGN.md §12.1), and the scheduler reads it only while every agent
 /// is parked.
 pub(crate) struct World {
     /// The topology, flat (CSR): the incidences at node `v` are the
@@ -207,13 +206,13 @@ impl World {
     }
 
     /// Agent `id` before its first step: at its home-base, carrying its
-    /// color, with its slice of the fault plan.
-    pub(crate) fn agent<L>(&self, id: usize, link: L, faults: &FaultPlan) -> Agent<L> {
+    /// color, with its slice of the fault plan, sharing `core`.
+    pub(crate) fn agent(&self, id: usize, core: Rc<RefCell<Core>>, faults: &FaultPlan) -> Agent {
         let home = self.homes[id];
         let mut ports = Vec::new();
         self.port_table(id, home, &mut ports);
         Agent {
-            link,
+            core,
             id,
             color: self.colors[id],
             node: home,
@@ -297,23 +296,55 @@ fn flat_topology(g: &Graph) -> (Vec<u32>, Vec<(u32, u32)>) {
     (offsets, far)
 }
 
-/// An engine's gate: how an agent reaches the world, and how it parks
-/// until the scheduler answers.
-pub(crate) trait Link {
-    /// Run `f` on the world.
-    fn world<R>(&self, f: impl FnOnce(&mut World) -> R) -> R;
+/// Everything the scheduler loop and the agents of one run share. One
+/// thread runs it all, so a `RefCell` guards it and a mailbox per agent
+/// carries the scheduler's verdicts.
+pub(crate) struct Core {
+    pub(crate) world: World,
+    pub(crate) grants: Grants,
+    /// The verdict for each parked agent, consumed by its gate's next
+    /// poll.
+    pub(crate) verdicts: Vec<Option<Result<u64, Interrupt>>>,
+}
 
-    /// Park at the gate. Resolves to the granted tick, or to the
-    /// interrupt that aborts the run.
-    fn park(&mut self, agent: usize, at: Park) -> impl Future<Output = Result<u64, Interrupt>>;
+/// Run `f` on the world behind `core`.
+fn with_world<R>(core: &RefCell<Core>, f: impl FnOnce(&mut World) -> R) -> R {
+    f(&mut core.borrow_mut().world)
+}
+
+/// A parked primitive: parks its agent on first poll, then resolves to
+/// the granted tick (or the aborting interrupt) when the scheduler
+/// deposits a verdict in the agent's mailbox.
+struct Gate<'a> {
+    core: &'a RefCell<Core>,
+    agent: usize,
+    at: Park,
+    announced: bool,
+}
+
+impl Future for Gate<'_> {
+    type Output = Result<u64, Interrupt>;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let mut core = this.core.borrow_mut();
+        if let Some(verdict) = core.verdicts[this.agent].take() {
+            return Poll::Ready(verdict);
+        }
+        if !this.announced {
+            this.announced = true;
+            core.grants.park(this.agent, this.at);
+        }
+        Poll::Pending
+    }
 }
 
 /// One agent's context: its volatile state (position, entry port, port
-/// table, fault clock) plus its engine's [`Link`]. Implements every primitive
-/// of [`MobileCtxAsync`]; the gated engine resolves these futures inside
-/// a single poll, the sim engine suspends them at its gates.
-pub(crate) struct Agent<L> {
-    link: L,
+/// table, fault clock) plus the run's shared [`Core`]. Implements every
+/// primitive of [`MobileCtxAsync`]; each suspends at a [`Gate`] until
+/// the scheduler grants it a step.
+pub(crate) struct Agent {
+    core: Rc<RefCell<Core>>,
     id: usize,
     color: Color,
     node: usize,
@@ -329,21 +360,29 @@ pub(crate) struct Agent<L> {
     armed: bool,
 }
 
-impl<L> AsMut<Agent<L>> for Agent<L> {
-    fn as_mut(&mut self) -> &mut Agent<L> {
-        self
+impl Agent {
+    /// Run `f` on the world.
+    fn world<R>(&self, f: impl FnOnce(&mut World) -> R) -> R {
+        with_world(&self.core, f)
     }
-}
 
-impl<L: Link> Agent<L> {
+    /// Park at the gate `at` until the scheduler answers.
+    fn park(&self, at: Park) -> Gate<'_> {
+        Gate {
+            core: &self.core,
+            agent: self.id,
+            at,
+            announced: false,
+        }
+    }
+
     /// Stall for `ticks` grants, each recorded as an unwoken wait at the
     /// current node (delay faults and restart backoff).
     async fn stall(&mut self, ticks: u64) -> Result<(), Interrupt> {
         for _ in 0..ticks {
-            let tick = self.link.park(self.id, Park::Op).await?;
+            let tick = self.park(Park::Op).await?;
             let (id, node) = (self.id, self.node);
-            self.link
-                .world(|w| w.record(tick, id, PrimOp::Wait { node, woke: false }));
+            self.world(|w| w.record(tick, id, PrimOp::Wait { node, woke: false }));
         }
         Ok(())
     }
@@ -358,7 +397,7 @@ impl<L: Link> Agent<L> {
         while let Some(action) = self.faults.take_due() {
             match action {
                 FaultAction::Delay { ticks } => {
-                    self.link.world(|w| {
+                    self.world(|w| {
                         w.fault_stats
                             .delay_ticks
                             .fetch_add(ticks, Ordering::Relaxed)
@@ -367,7 +406,7 @@ impl<L: Link> Agent<L> {
                 }
                 FaultAction::Crash { restart_after } => {
                     self.faults.note_crash(restart_after);
-                    self.link.world(|w| {
+                    self.world(|w| {
                         w.fault_stats.crashes.fetch_add(1, Ordering::Relaxed);
                         w.fault_stats.lost_ops.fetch_add(1, Ordering::Relaxed);
                     });
@@ -382,7 +421,7 @@ impl<L: Link> Agent<L> {
     /// the tick.
     async fn op(&mut self) -> Result<u64, Interrupt> {
         self.fault_gate().await?;
-        self.link.park(self.id, Park::Op).await
+        self.park(Park::Op).await
     }
 
     /// Prepare a post-crash restart: seal the spans the crash tore
@@ -395,8 +434,7 @@ impl<L: Link> Agent<L> {
     async fn begin_restart(&mut self) -> Result<(), Interrupt> {
         let incarnation = self.faults.incarnation() + 1;
         if incarnation > self.recovery.max_restarts {
-            self.link
-                .world(|w| w.fault_stats.aborted.fetch_add(1, Ordering::Relaxed));
+            self.world(|w| w.fault_stats.aborted.fetch_add(1, Ordering::Relaxed));
             return Err(Interrupt::Crashed);
         }
         self.seal_spans();
@@ -405,7 +443,7 @@ impl<L: Link> Agent<L> {
         self.entry = None;
         let stall = self.faults.take_restart_stall() + self.recovery.backoff(incarnation);
         let (id, home, ports) = (self.id, self.home, &mut self.ports);
-        self.link.world(|w| {
+        with_world(&self.core, |w| {
             w.port_table(id, home, ports);
             w.fault_stats.restarts.fetch_add(1, Ordering::Relaxed);
             w.fault_stats
@@ -419,14 +457,14 @@ impl<L: Link> Agent<L> {
     /// the phase breakdown.
     fn seal_spans(&self) {
         let id = self.id;
-        self.link.world(|w| {
+        self.world(|w| {
             let (now, cache) = w.span_now(id);
             w.trackers[id].force_close_all(now, cache);
         });
     }
 }
 
-impl<L: Link> MobileCtxAsync for Agent<L> {
+impl MobileCtxAsync for Agent {
     fn color(&self) -> Color {
         self.color
     }
@@ -442,7 +480,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
     async fn read_board(&mut self) -> Result<Vec<Sign>, Interrupt> {
         let tick = self.op().await?;
         let (id, node) = (self.id, self.node);
-        Ok(self.link.world(|w| {
+        Ok(self.world(|w| {
             w.metrics[id].accesses.fetch_add(1, Ordering::Relaxed);
             w.record(tick, id, PrimOp::Read { node });
             w.boards[node].signs().to_vec()
@@ -455,7 +493,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
     ) -> Result<R, Interrupt> {
         let tick = self.op().await?;
         let (id, node) = (self.id, self.node);
-        Ok(self.link.world(|w| {
+        Ok(self.world(|w| {
             w.metrics[id].accesses.fetch_add(1, Ordering::Relaxed);
             let before = w.boards[node].signs().len();
             let result = f(&mut w.boards[node]);
@@ -483,7 +521,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
             .get(port.0 as usize)
             .unwrap_or_else(|| panic!("agent {id} used invalid local port {port}"));
         let ports = &mut self.ports;
-        let (dest, entry) = self.link.world(|w| {
+        let (dest, entry) = with_world(&self.core, |w| {
             let (dest, entry) = w.cross(id, slot, ports);
             w.metrics[id].moves.fetch_add(1, Ordering::Relaxed);
             w.record(tick, id, PrimOp::Move { from, to: dest });
@@ -502,8 +540,8 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
         let (id, node) = (self.id, self.node);
         let mut seen: Option<u64> = None;
         loop {
-            let tick = self.link.park(id, Park::Wait { node, seen }).await?;
-            let (woke, version) = self.link.world(|w| {
+            let tick = self.park(Park::Wait { node, seen }).await?;
+            let (woke, version) = self.world(|w| {
                 w.metrics[id].accesses.fetch_add(1, Ordering::Relaxed);
                 let board = &w.boards[node];
                 let (woke, version) = (pred(board), board.version());
@@ -522,7 +560,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
 
     fn checkpoint(&mut self, label: &str) {
         let id = self.id;
-        self.link.world(|w| {
+        self.world(|w| {
             let (moves, accesses, _) = w.metrics[id].snapshot();
             w.checkpoints.push(Checkpoint {
                 label: label.to_string(),
@@ -535,7 +573,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
 
     fn span_open(&mut self, name: &str) {
         let id = self.id;
-        self.link.world(|w| {
+        self.world(|w| {
             let (now, cache) = w.span_now(id);
             w.trackers[id].open(name, now, cache);
         });
@@ -543,7 +581,7 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
 
     fn span_close(&mut self, name: &str) {
         let id = self.id;
-        self.link.world(|w| {
+        self.world(|w| {
             let (now, cache) = w.span_now(id);
             w.trackers[id].close(name, now, cache);
         });
@@ -565,31 +603,26 @@ impl<L: Link> MobileCtxAsync for Agent<L> {
 /// [`RunError::AgentPanicked`]. Finally seals the spans an interrupt (or
 /// a sloppy protocol) left open, so their work still reaches the
 /// breakdown.
-pub(crate) async fn drive<C, L>(
-    ctx: &mut C,
-    mut attempt: impl AsyncFnMut(&mut C) -> Result<AgentOutcome, Interrupt>,
-) -> AgentOutcome
-where
-    C: AsMut<Agent<L>>,
-    L: Link,
-{
+pub(crate) async fn drive(
+    agent: &mut Agent,
+    mut attempt: impl AsyncFnMut(&mut Agent) -> Result<AgentOutcome, Interrupt>,
+) -> AgentOutcome {
     let outcome = loop {
-        match CatchPanic(Box::pin(attempt(ctx))).await {
+        match CatchPanic(Box::pin(attempt(agent))).await {
             Ok(Ok(outcome)) => break outcome,
-            Ok(Err(Interrupt::Crashed)) => match ctx.as_mut().begin_restart().await {
+            Ok(Err(Interrupt::Crashed)) => match agent.begin_restart().await {
                 Ok(()) => continue,
                 Err(int) => break AgentOutcome::Interrupted(int),
             },
             Ok(Err(int)) => break AgentOutcome::Interrupted(int),
             Err(message) => {
-                let agent = ctx.as_mut();
                 let id = agent.id;
-                agent.link.world(|w| w.panics.push((id, message)));
+                agent.world(|w| w.panics.push((id, message)));
                 break AgentOutcome::Interrupted(Interrupt::Cancelled);
             }
         }
     };
-    ctx.as_mut().seal_spans();
+    agent.seal_spans();
     outcome
 }
 
@@ -687,11 +720,6 @@ impl Grants {
     /// Whether `agent` is running (neither parked nor finished).
     pub(crate) fn running(&self, agent: usize) -> bool {
         self.st[agent] == St::Running
-    }
-
-    /// Whether any agent is running.
-    pub(crate) fn any_running(&self) -> bool {
-        self.st.contains(&St::Running)
     }
 
     /// `agent` parked at a gate.
@@ -824,355 +852,6 @@ impl Grants {
             trace: self.trace,
             events: world.events,
         })
-    }
-}
-
-/// Expands to one `#[test]` per [`contract`] case, each run on
-/// `$engine`. Every engine's test module expands it, so both engines
-/// check the same case bodies, each under its own test names.
-#[cfg(test)]
-macro_rules! contract_tests {
-    ($engine:expr) => {
-        $crate::kernel::contract_tests!(
-            @cases $engine;
-            single_agent_trivial_protocol,
-            homebase_signs_are_premarked,
-            deadlock_is_detected,
-            step_limit_interrupts_livelock,
-            wait_wakes_on_board_change,
-            deterministic_given_seed_and_policy,
-            panic_inside_a_board_access_is_a_typed_error,
-            invalid_local_port_is_a_typed_error,
-            crash_restarts_at_home_with_volatile_state_lost,
-        );
-    };
-    (@cases $engine:expr; $($case:ident),* $(,)?) => {
-        $(
-            #[test]
-            fn $case() {
-                $crate::kernel::contract::$case($engine);
-            }
-        )*
-    };
-}
-#[cfg(test)]
-pub(crate) use contract_tests;
-
-/// The engine-independent contract: one case per function, each taking
-/// the engine to run on (see [`contract_tests`]).
-#[cfg(test)]
-pub(crate) mod contract {
-    use super::*;
-    use crate::fault::FaultEvent;
-    use crate::run::{run, Engine, Protocol, RunConfig as UnifiedConfig};
-    use qelect_graph::families;
-    use std::sync::{Arc, Mutex};
-
-    fn instance(n: usize, hbs: &[usize]) -> Bicolored {
-        Bicolored::new(families::cycle(n).unwrap(), hbs).unwrap()
-    }
-
-    fn run_on<P: Protocol + Clone + Send + 'static>(
-        engine: Engine,
-        bc: &Bicolored,
-        cfg: UnifiedConfig,
-        p: &P,
-    ) -> RunReport {
-        run(bc, &cfg.engine(engine), p)
-            .unwrap_or_else(|e| panic!("{} run failed: {e}", engine.name()))
-            .report
-    }
-
-    /// Claim leadership iff my own HomeBase sign is on my board.
-    #[derive(Clone)]
-    struct ClaimHome;
-    impl Protocol for ClaimHome {
-        async fn run_async<C: MobileCtxAsync>(
-            &self,
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            let me = ctx.color();
-            let board = ctx.read_board().await?;
-            Ok(
-                if board
-                    .iter()
-                    .any(|s| s.kind == SignKind::HomeBase && s.color == me)
-                {
-                    AgentOutcome::Leader
-                } else {
-                    AgentOutcome::Defeated
-                },
-            )
-        }
-    }
-
-    /// Walk `hops` times through local port 0, posting a Visited sign
-    /// after each move.
-    #[derive(Clone)]
-    pub(crate) struct Walker {
-        pub(crate) hops: usize,
-    }
-    impl Protocol for Walker {
-        async fn run_async<C: MobileCtxAsync>(
-            &self,
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            for _ in 0..self.hops {
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.with_board(|wb| {
-                    wb.post(Sign::tag(Color::from_nonce(0), SignKind::Visited));
-                })
-                .await?;
-            }
-            Ok(AgentOutcome::Defeated)
-        }
-    }
-
-    pub(crate) fn single_agent_trivial_protocol(engine: Engine) {
-        let bc = instance(5, &[2]);
-        let report = run_on(engine, &bc, UnifiedConfig::new(0), &ClaimHome);
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.leader, Some(0));
-        assert!(report.clean_election());
-    }
-
-    pub(crate) fn homebase_signs_are_premarked(engine: Engine) {
-        let bc = instance(5, &[0, 2]);
-        let report = run_on(engine, &bc, UnifiedConfig::new(0), &ClaimHome);
-        // Both see their own home-base sign → both claim Leader.
-        assert_eq!(
-            report.outcomes,
-            vec![AgentOutcome::Leader, AgentOutcome::Leader]
-        );
-        assert_eq!(report.leader, None, "two leaders is not a clean election");
-    }
-
-    pub(crate) fn deadlock_is_detected(engine: Engine) {
-        /// Wait for a sign nobody ever writes.
-        #[derive(Clone)]
-        struct Godot;
-        impl Protocol for Godot {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                ctx.wait_until(|wb| wb.find_kind(SignKind::Leader).is_some())
-                    .await?;
-                Ok(AgentOutcome::Leader)
-            }
-        }
-        let bc = instance(4, &[0, 2]);
-        let report = run_on(engine, &bc, UnifiedConfig::new(0), &Godot);
-        assert_eq!(report.interrupted, Some(Interrupt::Deadlock));
-        assert!(report
-            .outcomes
-            .iter()
-            .all(|o| *o == AgentOutcome::Interrupted(Interrupt::Deadlock)));
-    }
-
-    pub(crate) fn step_limit_interrupts_livelock(engine: Engine) {
-        #[derive(Clone)]
-        struct Forever;
-        impl Protocol for Forever {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                loop {
-                    ctx.move_via(LocalPort(0)).await?;
-                }
-            }
-        }
-        let bc = instance(4, &[0]);
-        let report = run_on(engine, &bc, UnifiedConfig::new(0).max_steps(100), &Forever);
-        assert_eq!(report.interrupted, Some(Interrupt::StepLimit));
-        assert_eq!(report.metrics.steps, 101);
-    }
-
-    pub(crate) fn wait_wakes_on_board_change(engine: Engine) {
-        // Both agents walk to the unmarked shared node of C3; whiteboard
-        // arbitration there picks a winner. The loser parks in
-        // wait_until; the winner wanders a hop and comes back to post
-        // the wake sign — a genuine park-then-wake.
-        #[derive(Clone)]
-        struct WaitOrWake;
-        impl Protocol for WaitOrWake {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                // Walk forward (never back through the entry port) to
-                // the node with no HomeBase sign.
-                loop {
-                    let board = ctx.read_board().await?;
-                    if !board.iter().any(|s| s.kind == SignKind::HomeBase) {
-                        break;
-                    }
-                    let entry = ctx.entry();
-                    let fwd = ctx
-                        .ports()
-                        .into_iter()
-                        .find(|&p| Some(p) != entry)
-                        .expect("degree 2");
-                    ctx.move_via(fwd).await?;
-                }
-                let won = ctx
-                    .with_board(|wb| {
-                        if wb.find_kind(SignKind::Custom(9)).is_none() {
-                            wb.post(Sign::tag(Color::from_nonce(0), SignKind::Custom(9)));
-                            true
-                        } else {
-                            false
-                        }
-                    })
-                    .await?;
-                if won {
-                    let out = ctx.entry().expect("arrived through a port");
-                    ctx.move_via(out).await?;
-                    let back = ctx.entry().expect("entry set after move");
-                    ctx.move_via(back).await?;
-                    ctx.with_board(|wb| {
-                        wb.post(Sign::tag(Color::from_nonce(1), SignKind::Custom(7)))
-                    })
-                    .await?;
-                    Ok(AgentOutcome::Leader)
-                } else {
-                    ctx.wait_until(|wb| wb.find_kind(SignKind::Custom(7)).is_some())
-                        .await?;
-                    Ok(AgentOutcome::Defeated)
-                }
-            }
-        }
-        let bc = instance(3, &[0, 1]);
-        for seed in 0..5 {
-            let report = run_on(engine, &bc, UnifiedConfig::new(seed), &WaitOrWake);
-            assert!(
-                report.clean_election(),
-                "{} seed {seed}: {:?}",
-                engine.name(),
-                report.outcomes
-            );
-            assert!(report.metrics.total_waits() >= 1);
-        }
-    }
-
-    pub(crate) fn deterministic_given_seed_and_policy(engine: Engine) {
-        let bc = instance(6, &[0, 3]);
-        let walker = Walker { hops: 10 };
-        let run_once = |seed| {
-            let cfg = UnifiedConfig::new(seed).record_trace(true);
-            let rep = run_on(engine, &bc, cfg, &walker);
-            (rep.metrics.per_agent.clone(), rep.trace, rep.events)
-        };
-        assert_eq!(run_once(11), run_once(11));
-        // Different seeds may interleave differently, but the totals
-        // of this fixed-work protocol are stable.
-        assert_eq!(run_once(11).0, run_once(12).0);
-    }
-
-    pub(crate) fn panic_inside_a_board_access_is_a_typed_error(engine: Engine) {
-        // The closure runs while the agent holds the world (the gated
-        // lock, the sim borrow); unwinding must release it, so the panic
-        // is recorded and every other agent still runs to the end.
-        #[derive(Clone)]
-        struct PanicsInAccess;
-        impl Protocol for PanicsInAccess {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                ctx.with_board(|_| panic!("board access panic")).await?;
-                Ok(AgentOutcome::Leader)
-            }
-        }
-        let bc = instance(4, &[0, 2]);
-        let err = run(&bc, &UnifiedConfig::new(0).engine(engine), &PanicsInAccess)
-            .expect_err("the panic must surface");
-        assert!(
-            matches!(&err, RunError::AgentPanicked { message, .. } if message == "board access panic"),
-            "{}: {err:?}",
-            engine.name()
-        );
-    }
-
-    pub(crate) fn invalid_local_port_is_a_typed_error(engine: Engine) {
-        // Ports are `0..degree`; one past the last is a protocol bug,
-        // caught at the agent-program boundary like any other panic.
-        #[derive(Clone)]
-        struct PastTheLastPort;
-        impl Protocol for PastTheLastPort {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                let degree = ctx.degree() as u32;
-                ctx.move_via(LocalPort(degree)).await?;
-                Ok(AgentOutcome::Leader)
-            }
-        }
-        let bc = instance(4, &[0]);
-        let err = run(&bc, &UnifiedConfig::new(0).engine(engine), &PastTheLastPort)
-            .expect_err("the invalid port must surface");
-        assert!(
-            matches!(&err, RunError::AgentPanicked { agent: 0, message }
-                if message == "agent 0 used invalid local port lp2"),
-            "{}: {err:?}",
-            engine.name()
-        );
-    }
-
-    pub(crate) fn crash_restarts_at_home_with_volatile_state_lost(engine: Engine) {
-        // The program walks two hops, then posts a Visited sign wherever
-        // it stands. A crash at op 2 (the second move) loses that move;
-        // the restart re-runs from the home-base with entry() cleared.
-        /// `(incarnation, entry port)` at each program entry.
-        type Entries = Arc<Mutex<Vec<(u64, Option<LocalPort>)>>>;
-        #[derive(Clone)]
-        struct TwoHopsThenPost {
-            seen: Entries,
-        }
-        impl Protocol for TwoHopsThenPost {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                self.seen
-                    .lock()
-                    .unwrap()
-                    .push((ctx.incarnation(), ctx.entry()));
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.with_board(|wb| wb.post(Sign::tag(Color::from_nonce(7), SignKind::Visited)))
-                    .await?;
-                Ok(AgentOutcome::Leader)
-            }
-        }
-        let bc = instance(6, &[0]);
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                agent: 0,
-                at_op: 2,
-                action: FaultAction::Crash { restart_after: 1 },
-            }],
-            recovery: RecoveryPolicy::default(),
-        };
-        let program = TwoHopsThenPost {
-            seen: Arc::default(),
-        };
-        let cfg = UnifiedConfig::new(0).faults(plan.clone());
-        let report = run_on(engine, &bc, cfg, &program);
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.metrics.faults.crashes, 1);
-        assert_eq!(report.metrics.faults.restarts, 1);
-        assert!(report.metrics.faults.backoff_ticks >= 1);
-        assert_eq!(
-            *program.seen.lock().unwrap(),
-            vec![(0, None), (1, None)],
-            "restart re-enters the program at home (entry cleared) with a bumped incarnation"
-        );
-        // The lost move means the restart walks the full two hops
-        // again: 1 (pre-crash) + 2 (restart) = 3 moves.
-        assert_eq!(report.metrics.total_moves(), 3);
     }
 }
 

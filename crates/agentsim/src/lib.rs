@@ -21,46 +21,39 @@
 //!   replayable adversary. The synchronous-lockstep scheduler of the
 //!   paper's Section 1.3 impossibility argument is provided.
 //!
-//! Two deterministic execution engines run the *same* protocol code
-//! (written once against the [`ctx::MobileCtxAsync`] trait;
-//! [`ctx::SyncCtx`] adapts it to the blocking [`ctx::MobileCtx`]). Both
-//! sit on one scheduler kernel — the world, the primitives, the grant
-//! decision (ready set, deadlock, step budget) and the report — and
-//! differ only in how a parked agent waits for its grant:
+//! Protocols are written once against the [`ctx::MobileCtxAsync`]
+//! trait and run on one deterministic engine, [`sim`]:
+//! **single-threaded**, agents are futures parked at gates, a
+//! discrete-event simulation over virtual time with no per-step thread
+//! handoffs. Its scheduler kernel holds the world, the primitives, the
+//! grant decision (ready set, deadlock, step budget) and the report.
+//! ELECT on a 10⁴-node cycle with three agents runs end to end in about
+//! 0.45 s (`BENCH_canon.json`, a 2-core host); the step-light ring
+//! prober runs that cycle in milliseconds.
 //!
-//! * [`gated`] — agents live on OS threads but execute one primitive at
-//!   a time, in scheduler order, each blocking on a grant channel.
-//! * [`sim`] — **single-threaded**: agents are futures parked at gates,
-//!   a discrete-event simulation over virtual time with no per-step
-//!   thread handoffs. ELECT on a 10⁴-node cycle with three agents runs
-//!   end to end in about 0.45 s (`BENCH_canon.json`, a 2-core host); the
-//!   step-light ring prober runs that cycle in milliseconds.
-//!
-//! Both detect deadlocks and enforce step budgets (so impossibility
-//! arguments terminate), and both produce byte-identical metrics,
-//! traces and fault addressing.
+//! The engine detects deadlocks and enforces step budgets (so
+//! impossibility arguments terminate), and a run — its metrics, trace
+//! and fault addressing — is a pure function of `(instance, protocol,
+//! policy, seed, fault plan)`.
 //!
 //! [`message_net`] implements the paper's Fig. 1 transformation: a
 //! mobile-agent protocol expressed as an explicit state machine
 //! ([`stepagent::StepAgent`]) is executed by an anonymous processor
 //! network in which *messages are agents*.
 //!
-//! The [`mod@run`] module is the unified front door over both engines: a
-//! [`RunConfig`] builder selects an [`Engine`], optional [`fault::FaultPlan`]
-//! and replay schedule, and [`run()`] executes any [`Protocol`]
+//! The [`mod@run`] module is the unified front door: a [`RunConfig`]
+//! builder selects the policy, an optional [`fault::FaultPlan`] and a
+//! replay schedule, and [`run()`] executes any [`Protocol`]
 //! implementation, returning an [`ElectionRun`] or a typed [`RunError`].
 //! [`fault`] provides deterministic, schedule-addressed fault injection:
 //! crash an agent at any whiteboard-access boundary, lose or delay its
 //! pending move, and restart it with only whiteboard-persisted state.
 //!
 //! ```
-//! use qelect_agentsim::{
-//!     run, AgentOutcome, Engine, Interrupt, MobileCtxAsync, Protocol, RunConfig,
-//! };
+//! use qelect_agentsim::{run, AgentOutcome, Interrupt, MobileCtxAsync, Protocol, RunConfig};
 //! use qelect_graph::{families, Bicolored};
 //!
 //! // A one-agent protocol: read the home whiteboard, claim leadership.
-//! // The one async body runs on both engines.
 //! #[derive(Clone)]
 //! struct ClaimHome;
 //! impl Protocol for ClaimHome {
@@ -74,10 +67,9 @@
 //!     }
 //! }
 //! let bc = Bicolored::new(families::cycle(5).unwrap(), &[2]).unwrap();
-//! for engine in Engine::ALL {
-//!     let election = run(&bc, &RunConfig::new(0).engine(engine), &ClaimHome).unwrap();
-//!     assert_eq!(election.report.leader, Some(0));
-//! }
+//! let election = run(&bc, &RunConfig::new(0), &ClaimHome).unwrap();
+//! assert_eq!(election.report.leader, Some(0));
+//! assert_eq!(election.engine, "sim");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -88,7 +80,6 @@ pub mod coverage;
 pub mod ctx;
 pub mod explore;
 pub mod fault;
-pub mod gated;
 pub mod json;
 mod kernel;
 pub mod message_net;
@@ -105,22 +96,19 @@ pub mod whiteboard;
 
 pub use color::{Color, ColorRegistry};
 pub use coverage::{signature, signature_with, CoverageMap, CoverageStats, PHASE_WINDOWS};
-pub use ctx::{poll_now, AgentOutcome, Interrupt, LocalPort, MobileCtx, MobileCtxAsync, SyncCtx};
+pub use ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync};
 pub use explore::{
     shrink_schedule, shrink_trace, CounterExample, ExploreConfig, ExploreReport, ExploreSession,
     GuidedScheduler, RecordingScheduler,
 };
 pub use fault::{shrink_plan, FaultAction, FaultEvent, FaultPlan, FaultSummary, RecoveryPolicy};
-pub use gated::{GatedCtx, RunReport};
 pub use metrics::{AgentMetrics, Metrics, PhaseBreakdown, PhaseSpan, SpanTracker, UNSPANNED};
-pub use registry::{
-    protocol_agents, ExploreSpec, ProtocolCaps, ProtocolEntry, ProtocolId, Registry,
-};
-pub use run::{run, ElectionRun, Engine, Protocol, ReplaySpec, RunConfig, RunError};
+pub use registry::{ExploreSpec, ProtocolCaps, ProtocolEntry, ProtocolId, Registry};
+pub use run::{run, run_each, ElectionRun, Engine, Protocol, ReplaySpec, RunConfig, RunError};
 pub use sched::{
     LockstepScheduler, RandomScheduler, ReplayScheduler, RoundRobinScheduler, Scheduler,
 };
 pub use sign::{Sign, SignKind};
-pub use sim::{run_sim_faulty, try_run_sim_with};
+pub use sim::{run_sim_faulty, run_staggered, try_run_sim_with, RunReport};
 pub use trace::{Trace, TraceEvent};
 pub use whiteboard::Whiteboard;

@@ -240,7 +240,7 @@ impl SpanTracker {
     }
 
     /// Close every still-open span (innermost first) at counter reading
-    /// `now`. The engines call this after an agent's program returns, so
+    /// `now`. The engine calls this after an agent's program returns, so
     /// a span left open by an interrupt (budget exhaustion, unsolvable
     /// detection) still reports the work it did.
     pub fn force_close_all(&self, now: Counters, cache: Option<CacheStats>) {
@@ -352,11 +352,11 @@ pub struct Metrics {
     pub per_agent: Vec<(u64, u64, u64)>,
     /// Checkpoints in recording order.
     pub checkpoints: Vec<Checkpoint>,
-    /// Scheduler grants issued (gated engine only).
+    /// Scheduler grants issued.
     pub steps: u64,
     /// Preemptive context switches: grants where the scheduler switched
-    /// away from an agent that was still ready (gated engine only; the
-    /// quantity Chess-style exploration bounds).
+    /// away from an agent that was still ready (the quantity
+    /// Chess-style exploration bounds).
     pub preemptions: u64,
     /// Canonical-form cache activity observed over this run: the delta
     /// of the process-global `qelect_graph::cache` counters between run

@@ -16,9 +16,9 @@
 //! (e.g. `anon` for `anonymous`) are part of the entry, so they too are
 //! declared once.
 
-use crate::gated::{self, GatedAgent, RunReport};
-use crate::run::{ElectionRun, Engine, Protocol, RunConfig, RunError};
+use crate::run::{ElectionRun, RunConfig, RunError};
 use crate::sched::Scheduler;
+use crate::sim::{self, RunReport};
 use crate::trace::Trace;
 use qelect_graph::Bicolored;
 use std::fmt;
@@ -51,12 +51,6 @@ impl fmt::Display for ProtocolId {
 /// instead of hard-coding per-protocol special cases.
 #[derive(Debug, Clone, Copy)]
 pub struct ProtocolCaps {
-    /// Engines the protocol runs on. Protocols written over
-    /// [`MobileCtxAsync`] support both; legacy gated-only drivers
-    /// list `[Engine::Gated]`.
-    ///
-    /// [`MobileCtxAsync`]: crate::MobileCtxAsync
-    pub engines: &'static [Engine],
     /// Whether the protocol recovers from crash faults (restarted
     /// incarnations rebuild from whiteboard state alone).
     pub fault_recoverable: bool,
@@ -87,14 +81,8 @@ pub type WitnessFn = fn(&Bicolored) -> Result<Trace, String>;
 /// [`ExploreSession`]: crate::explore::ExploreSession
 pub struct ExploreSpec {
     /// Run one schedule: execute the protocol on the instance under the
-    /// given scheduler. Must be a pure function of the grant sequence on
-    /// both engines ([`Engine::Gated`] and [`Engine::Sim`]).
-    pub run: fn(
-        &Bicolored,
-        &gated::RunConfig,
-        Engine,
-        &mut dyn Scheduler,
-    ) -> Result<RunReport, RunError>,
+    /// given scheduler. Must be a pure function of the grant sequence.
+    pub run: fn(&Bicolored, &sim::RunConfig, &mut dyn Scheduler) -> Result<RunReport, RunError>,
     /// The schedule-space property: `Err(description)` on a violating
     /// report. The instance is passed so properties can consult ground
     /// truth (e.g. the gcd solvability oracle).
@@ -136,9 +124,8 @@ pub struct ProtocolEntry {
     pub paper: &'static str,
     /// Capability flags.
     pub caps: ProtocolCaps,
-    /// Run the protocol on an instance (engine and knobs from `cfg`).
-    /// Called through [`ProtocolEntry::run`], which gates on
-    /// `caps.engines` first.
+    /// Run the protocol on an instance (knobs from `cfg`). Called
+    /// through [`ProtocolEntry::run`].
     pub runner: fn(&Bicolored, &RunConfig) -> Result<ElectionRun, RunError>,
     /// Schedule exploration: the deterministic driver + property, when
     /// the protocol is explorable (`None` otherwise — and the CLI's
@@ -162,38 +149,11 @@ impl fmt::Debug for ProtocolEntry {
 }
 
 impl ProtocolEntry {
-    /// Whether the entry supports `engine`.
-    pub fn supports(&self, engine: Engine) -> bool {
-        self.caps.engines.contains(&engine)
-    }
-
-    /// Run the protocol on `bc` as described by `cfg`, after checking
-    /// the engine against the entry's capability flags — an unsupported
-    /// engine is a typed [`RunError::UnsupportedEngine`], not a panic.
+    /// Run the protocol on `bc` as described by `cfg` (seed, policy,
+    /// faults, replay, …).
     pub fn run(&self, bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-        if !self.supports(cfg.engine) {
-            return Err(RunError::UnsupportedEngine {
-                protocol: self.id.name(),
-                engine: cfg.engine.name(),
-            });
-        }
         (self.runner)(bc, cfg)
     }
-}
-
-/// Fresh gated agent programs that each run one clone of `protocol` —
-/// the standard way an [`ExploreSpec::run`] driver builds its agents for
-/// protocols implementing [`Protocol`].
-pub fn protocol_agents<P>(protocol: P, bc: &Bicolored) -> Vec<GatedAgent>
-where
-    P: Protocol + Clone + Send + 'static,
-{
-    (0..bc.r())
-        .map(|_| -> GatedAgent {
-            let p = protocol.clone();
-            Box::new(move |ctx| p.run(ctx))
-        })
-        .collect()
 }
 
 /// A fixed table of protocol entries with name/alias resolution.

@@ -1,5 +1,5 @@
 //! The unified front door for running a protocol: one [`RunConfig`]
-//! builder, one [`Engine`] choice, one [`ElectionRun`] result.
+//! builder, one [`ElectionRun`] result.
 //!
 //! Describe the run declaratively with a [`RunConfig`], hand over
 //! anything implementing [`Protocol`], and [`run`] returns an
@@ -11,44 +11,35 @@
 //! [`FaultPlan`], and the run's fault activity comes back in
 //! [`ElectionRun::faults`].
 
-use crate::ctx::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
+use crate::ctx::{AgentOutcome, Interrupt, MobileCtxAsync};
 use crate::fault::{FaultPlan, FaultSummary};
-use crate::gated::{self, RunReport};
-use crate::registry::protocol_agents;
 use crate::sched::{Policy, ReplayScheduler, Scheduler};
+use crate::sim::{self, RunReport};
 use qelect_graph::Bicolored;
 use std::fmt;
 
-/// Which execution engine carries the run. Both are deterministic and
-/// run on one scheduler kernel, so they produce byte-identical reports.
+/// The execution engine that carries a run: the single-threaded
+/// discrete-event engine ([`crate::sim`]), the only one. Agents are
+/// event-driven state machines over virtual time, and the run is a pure
+/// function of `(instance, protocol, policy, seed, fault plan)`. Reports
+/// and request envelopes name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The scheduler-gated engine (default): one OS thread per agent,
-    /// every primitive passes through a grant gate, the run is a pure
-    /// function of `(instance, protocol, policy, seed, fault plan)`.
-    Gated,
-    /// The single-threaded discrete-event engine ([`crate::sim`]):
-    /// agents are event-driven state machines over virtual time, no OS
-    /// threads — and orders of magnitude faster per step, which makes
-    /// 10⁴-node instances tier-1 test material.
+    /// The discrete-event engine.
     Sim,
 }
 
 impl Engine {
-    /// Every engine, in the order reports list them.
-    pub const ALL: [Engine; 2] = [Engine::Gated, Engine::Sim];
-
-    /// Stable lowercase name (used in reports and CLI flags).
+    /// Stable lowercase name (used in reports and request envelopes).
     pub fn name(&self) -> &'static str {
         match self {
-            Engine::Gated => "gated",
             Engine::Sim => "sim",
         }
     }
 
     /// The engine named `name` (the inverse of [`Engine::name`]).
     pub fn parse(name: &str) -> Option<Engine> {
-        Engine::ALL.into_iter().find(|e| e.name() == name)
+        (name == Engine::Sim.name()).then_some(Engine::Sim)
     }
 }
 
@@ -65,8 +56,8 @@ pub struct ReplaySpec {
 
 /// Declarative description of one run, consumed by [`run`].
 ///
-/// Build it fluently: `RunConfig::new(7).engine(Engine::Sim).faults(plan)`.
-/// Defaults mirror the engine config defaults ([`gated::RunConfig`]).
+/// Build it fluently: `RunConfig::new(7).policy(Policy::Lockstep).faults(plan)`.
+/// Defaults mirror the engine config defaults ([`sim::RunConfig`]).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Master seed: colors, port scrambles, and the random policy.
@@ -94,15 +85,15 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A gated-engine config with the given seed and all defaults.
+    /// A config with the given seed and all defaults.
     pub fn new(seed: u64) -> RunConfig {
-        let g = gated::RunConfig::default();
+        let k = sim::RunConfig::default();
         RunConfig {
             seed,
-            engine: Engine::Gated,
-            policy: g.policy,
-            max_steps: g.max_steps,
-            scramble_ports: g.scramble_ports,
+            engine: Engine::Sim,
+            policy: k.policy,
+            max_steps: k.max_steps,
+            scramble_ports: k.scramble_ports,
             record_trace: false,
             faults: FaultPlan::none(),
             replay: None,
@@ -151,9 +142,9 @@ impl RunConfig {
         self
     }
 
-    /// The engine slice of this config.
-    pub fn to_gated(&self) -> gated::RunConfig {
-        gated::RunConfig {
+    /// The engine slice of this config: the per-run kernel config.
+    pub fn to_sim(&self) -> sim::RunConfig {
+        sim::RunConfig {
             seed: self.seed,
             policy: self.policy,
             max_steps: self.max_steps,
@@ -164,16 +155,14 @@ impl RunConfig {
 }
 
 /// Why a run could not produce a report. These are *runtime-integrity*
-/// failures (an agent program panicked, an engine channel died) —
-/// protocol-level interrupts (deadlock, step budget, crashes) are
-/// normal results, reported inside [`RunReport`].
+/// failures (an agent program panicked, or suspended outside the
+/// engine's gates) — protocol-level interrupts (deadlock, step budget,
+/// crashes) are normal results, reported inside [`RunReport`].
 ///
-/// On whiteboard "lock poisoning": the gated engine guards the world
-/// with a `parking_lot` mutex, which does not poison — a panic inside a
-/// board access releases the lock cleanly. The panic that *would* have
-/// poisoned a std mutex is caught at the agent-program boundary and
-/// surfaced here as [`RunError::AgentPanicked`] instead of unwinding
-/// through `expect` calls in the engine loop.
+/// A panic inside a board access unwinds out of the world's borrow,
+/// which releases it; the panic is caught at the agent-program boundary
+/// and surfaced here as [`RunError::AgentPanicked`] instead of unwinding
+/// through the engine loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// An agent program panicked (assertion failure, invalid port, …).
@@ -186,20 +175,11 @@ pub enum RunError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// An engine channel disconnected while the run was live (an agent
-    /// thread died without reporting — should be unreachable given the
-    /// panic guard, but typed rather than `expect`ed).
+    /// An agent suspended on something that is not an engine gate (it
+    /// awaited a foreign future), so the run could not go on.
     ChannelDisconnected {
         /// Which handoff broke.
         stage: &'static str,
-    },
-    /// The protocol's registry entry does not support the requested
-    /// engine (capability flags in [`crate::registry::ProtocolCaps`]).
-    UnsupportedEngine {
-        /// The protocol's wire name.
-        protocol: &'static str,
-        /// The rejected engine's name.
-        engine: &'static str,
     },
 }
 
@@ -212,43 +192,22 @@ impl fmt::Display for RunError {
             RunError::ChannelDisconnected { stage } => {
                 write!(f, "engine channel disconnected at {stage}")
             }
-            RunError::UnsupportedEngine { protocol, engine } => {
-                write!(
-                    f,
-                    "protocol '{protocol}' does not support engine '{engine}'"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for RunError {}
 
-/// An agent protocol, written once over [`MobileCtxAsync`] and runnable
-/// on every engine. The runner clones one instance per agent, so any
-/// per-run configuration lives in the implementing type's fields.
-///
-/// Implement [`Protocol::run_async`] only: the blocking-style body with
-/// `.await` on each primitive. The gated engine executes it through the
-/// provided [`Protocol::run`] adapter, whose [`SyncCtx`]
-/// resolves every primitive inside the poll, so the body runs exactly
-/// as the pre-async blocking code did. The sim engine polls the same
-/// body as a state machine over virtual time. `run_async` is required
-/// (not defaulted) precisely so that no protocol can exist that the sim
-/// engine cannot execute.
+/// An agent protocol, written once over [`MobileCtxAsync`]: the
+/// blocking-style body with `.await` on each primitive, which the sim
+/// engine polls as a state machine over virtual time. [`run`] clones one
+/// instance per agent, so any per-run configuration lives in the
+/// implementing type's fields; [`run_each`] takes one value per agent.
 pub trait Protocol {
-    /// Execute the protocol to a terminal outcome (the one body every
-    /// engine runs).
+    /// Execute the protocol to a terminal outcome. The engine re-invokes
+    /// it on a crash-restarted agent.
     #[allow(async_fn_in_trait)]
     async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt>;
-
-    /// Blocking adapter for the gated engine: drive [`run_async`]
-    /// against a [`SyncCtx`], which never suspends.
-    ///
-    /// [`run_async`]: Protocol::run_async
-    fn run<C: MobileCtx>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-        poll_now(self.run_async(&mut SyncCtx(ctx)))
-    }
 }
 
 /// The result of a [`run`]: the engine's report plus run-level context.
@@ -282,29 +241,24 @@ impl ElectionRun {
 /// the policy.
 pub fn run<P>(bc: &Bicolored, cfg: &RunConfig, protocol: &P) -> Result<ElectionRun, RunError>
 where
-    P: Protocol + Clone + Send + 'static,
+    P: Protocol + Clone,
 {
+    run_each(bc, cfg, vec![protocol.clone(); bc.r()])
+}
+
+/// [`run`] with one program per agent: agent `i` runs `agents[i]` (the
+/// quantitative baseline's agents, say, each carry their own label).
+pub fn run_each<P: Protocol>(
+    bc: &Bicolored,
+    cfg: &RunConfig,
+    agents: Vec<P>,
+) -> Result<ElectionRun, RunError> {
     let mut scheduler: Box<dyn Scheduler> = match &cfg.replay {
         Some(spec) if spec.strict => Box::new(ReplayScheduler::strict(spec.schedule.clone())),
         Some(spec) => Box::new(ReplayScheduler::new(spec.schedule.clone())),
         None => cfg.policy.build(cfg.seed),
     };
-    let report = match cfg.engine {
-        Engine::Gated => gated::try_run_gated_with(
-            bc,
-            cfg.to_gated(),
-            &cfg.faults,
-            protocol_agents(protocol.clone(), bc),
-            scheduler.as_mut(),
-        )?,
-        Engine::Sim => crate::sim::try_run_sim_with(
-            bc,
-            cfg.to_gated(),
-            &cfg.faults,
-            protocol,
-            scheduler.as_mut(),
-        )?,
-    };
+    let report = sim::try_run_sim_with(bc, cfg.to_sim(), &cfg.faults, agents, scheduler.as_mut())?;
     Ok(ElectionRun {
         engine: cfg.engine.name(),
         faults: report.metrics.faults,
@@ -324,7 +278,7 @@ mod tests {
 
     /// A protocol that reads its home board and claims leadership iff it
     /// sees its own HomeBase sign (always true) — enough to exercise the
-    /// plumbing on both engines.
+    /// plumbing.
     #[derive(Clone)]
     struct ClaimHome;
 
@@ -352,23 +306,22 @@ mod tests {
     fn builder_defaults_mirror_engine_defaults() {
         let cfg = RunConfig::new(9);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.engine, Engine::Gated);
-        let g = cfg.to_gated();
-        assert_eq!(g.max_steps, gated::RunConfig::default().max_steps);
-        assert_eq!(g.seed, 9);
-        assert!(!g.record_trace);
+        assert_eq!(cfg.engine, Engine::Sim);
+        let k = cfg.to_sim();
+        assert_eq!(k.max_steps, sim::RunConfig::default().max_steps);
+        assert_eq!(k.seed, 9);
+        assert!(!k.record_trace);
+        assert_eq!(Engine::parse("sim"), Some(Engine::Sim));
+        assert_eq!(Engine::parse("gated"), None);
     }
 
     #[test]
     fn runs_on_all_engines() {
         let bc = instance(5, &[1]);
-        for engine in Engine::ALL {
-            let cfg = RunConfig::new(3).engine(engine);
-            let run = run(&bc, &cfg, &ClaimHome).unwrap();
-            assert_eq!(run.engine, engine.name());
-            assert_eq!(run.report.outcomes, vec![AgentOutcome::Leader]);
-            assert!(!run.faults.any());
-        }
+        let run = run(&bc, &RunConfig::new(3), &ClaimHome).unwrap();
+        assert_eq!(run.engine, "sim");
+        assert_eq!(run.report.outcomes, vec![AgentOutcome::Leader]);
+        assert!(!run.faults.any());
     }
 
     #[test]
@@ -377,18 +330,12 @@ mod tests {
         let cfg = RunConfig::new(11).record_trace(true);
         let first = run(&bc, &cfg, &ClaimHome).unwrap();
         assert!(!first.report.trace.is_empty());
-        // A gated recording replays byte-identically on gated *and* sim
-        // (the engines' determinism-equivalence contract).
-        for engine in [Engine::Gated, Engine::Sim] {
-            let replay_cfg = cfg
-                .clone()
-                .engine(engine)
-                .replay(first.report.trace.clone(), true);
-            let second = run(&bc, &replay_cfg, &ClaimHome).unwrap();
-            assert_eq!(second.report.outcomes, first.report.outcomes);
-            assert_eq!(second.report.trace, first.report.trace);
-            assert_eq!(second.report.events, first.report.events);
-        }
+        // A recording replays byte-identically.
+        let replay_cfg = cfg.clone().replay(first.report.trace.clone(), true);
+        let second = run(&bc, &replay_cfg, &ClaimHome).unwrap();
+        assert_eq!(second.report.outcomes, first.report.outcomes);
+        assert_eq!(second.report.trace, first.report.trace);
+        assert_eq!(second.report.events, first.report.events);
     }
 
     /// A protocol that panics — the typed-error path.
@@ -408,17 +355,11 @@ mod tests {
     #[test]
     fn agent_panic_is_a_typed_error_not_a_hang() {
         let bc = instance(4, &[0, 2]);
-        let cfg = RunConfig::new(0);
-        match run(&bc, &cfg, &Panics) {
+        match run(&bc, &RunConfig::new(0), &Panics) {
             Err(RunError::AgentPanicked { message, .. }) => {
                 assert!(message.contains("deliberate test panic"), "{message}");
             }
             other => panic!("expected AgentPanicked, got {other:?}"),
         }
-        // Sim surfaces it too.
-        assert!(matches!(
-            run(&bc, &cfg.engine(Engine::Sim), &Panics),
-            Err(RunError::AgentPanicked { .. })
-        ));
     }
 }

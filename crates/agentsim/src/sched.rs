@@ -1,7 +1,7 @@
 //! Schedulers: the asynchrony adversary.
 //!
 //! Agents are asynchronous — "every action takes a finite but otherwise
-//! unpredictable amount of time". The gated engine reifies that
+//! unpredictable amount of time". The engine reifies that
 //! unpredictability as a scheduler which, at every tick, picks which of
 //! the ready agents performs its next primitive. Protocol correctness
 //! claims are tested across scheduler policies and seeds; impossibility
@@ -105,7 +105,7 @@ impl Scheduler for GreedyLowestScheduler {
 }
 
 /// Replays a recorded (or hand-written) grant sequence: at tick `t` it
-/// picks the `t`-th agent of the schedule. Because a gated run is a
+/// picks the `t`-th agent of the schedule. Because a run is a
 /// deterministic function of the grant sequence, replaying a recorded
 /// schedule reproduces the original execution bit-for-bit.
 ///

@@ -8,13 +8,13 @@
 //! local whiteboard atomically and decides to move, stay (park until the
 //! node sees traffic), or finish.
 //!
-//! [`drive`] runs a `StepAgent` on any [`MobileCtx`] engine, so the same
-//! machine executes both natively (mobile runtime) and transformed
-//! ([`crate::message_net`]); the integration suite checks the outcomes
-//! coincide — an executable reading of Fig. 1.
+//! [`drive`] runs a `StepAgent` on any [`MobileCtxAsync`] context, so
+//! the same machine executes both natively (mobile runtime) and
+//! transformed ([`crate::message_net`]); the integration suite checks
+//! the outcomes coincide — an executable reading of Fig. 1.
 
 use crate::color::Color;
-use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtx};
+use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync};
 use crate::whiteboard::Whiteboard;
 
 /// What an activation decides.
@@ -42,13 +42,14 @@ pub struct StepEnv<'a> {
 }
 
 /// A mobile agent as a state machine.
-pub trait StepAgent: Send {
+pub trait StepAgent {
     /// One activation at the current node.
     fn step(&mut self, env: &mut StepEnv<'_>) -> StepAction;
 }
 
-/// Drive a [`StepAgent`] on a [`MobileCtx`] engine until it finishes.
-pub fn drive<C: MobileCtx>(
+/// Drive a [`StepAgent`] on a [`MobileCtxAsync`] context until it
+/// finishes.
+pub async fn drive<C: MobileCtxAsync>(
     agent: &mut dyn StepAgent,
     ctx: &mut C,
 ) -> Result<AgentOutcome, Interrupt> {
@@ -56,19 +57,21 @@ pub fn drive<C: MobileCtx>(
         let degree = ctx.degree();
         let entry = ctx.entry();
         let color = ctx.color();
-        let (action, version) = ctx.with_board(|wb| {
-            let mut env = StepEnv {
-                color,
-                degree,
-                entry,
-                board: wb,
-            };
-            let action = agent.step(&mut env);
-            (action, wb.version())
-        })?;
+        let (action, version) = ctx
+            .with_board(|wb| {
+                let mut env = StepEnv {
+                    color,
+                    degree,
+                    entry,
+                    board: wb,
+                };
+                let action = agent.step(&mut env);
+                (action, wb.version())
+            })
+            .await?;
         match action {
-            StepAction::Move(p) => ctx.move_via(p)?,
-            StepAction::Stay => ctx.wait_until(move |wb| wb.version() > version)?,
+            StepAction::Move(p) => ctx.move_via(p).await?,
+            StepAction::Stay => ctx.wait_until(move |wb| wb.version() > version).await?,
             StepAction::Finish(outcome) => return Ok(outcome),
         }
     }
@@ -77,8 +80,9 @@ pub fn drive<C: MobileCtx>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gated::{run_gated_faulty, GatedAgent, RunConfig};
+    use crate::run::Protocol;
     use crate::sign::{Sign, SignKind};
+    use crate::sim::{run_sim_faulty, RunConfig};
     use crate::FaultPlan;
     use qelect_graph::{families, Bicolored};
 
@@ -98,15 +102,37 @@ mod tests {
         }
     }
 
+    /// The test machines as agent programs, each driving a fresh
+    /// machine per invocation.
+    enum Program {
+        Walker,
+        Sleeper,
+        Announcer,
+    }
+
+    impl Protocol for Program {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            match self {
+                Program::Walker => drive(&mut Walker { budget: 7 }, ctx).await,
+                Program::Sleeper => drive(&mut Sleeper, ctx).await,
+                Program::Announcer => drive(&mut Announcer { remaining: 4 }, ctx).await,
+            }
+        }
+    }
+
     #[test]
-    fn walker_on_gated_engine() {
+    fn walker_on_sim_engine() {
         let bc = Bicolored::new(families::cycle(5).unwrap(), &[0]).unwrap();
-        let program: GatedAgent = Box::new(|ctx| {
-            let mut agent = Walker { budget: 7 };
-            drive(&mut agent, ctx)
-        });
-        let report = run_gated_faulty(&bc, RunConfig::default(), &FaultPlan::none(), vec![program])
-            .expect("gated run failed");
+        let report = run_sim_faulty(
+            &bc,
+            RunConfig::default(),
+            &FaultPlan::none(),
+            vec![Program::Walker],
+        )
+        .expect("sim run failed");
         assert_eq!(report.outcomes, vec![AgentOutcome::Defeated]);
         assert_eq!(report.metrics.total_moves(), 7);
     }
@@ -149,15 +175,13 @@ mod tests {
     #[test]
     fn stay_parks_until_board_changes() {
         let bc = Bicolored::new(families::cycle(4).unwrap(), &[0, 2]).unwrap();
-        let sleeper: GatedAgent = Box::new(|ctx| drive(&mut Sleeper, ctx));
-        let announcer: GatedAgent = Box::new(|ctx| drive(&mut Announcer { remaining: 4 }, ctx));
-        let report = run_gated_faulty(
+        let report = run_sim_faulty(
             &bc,
             RunConfig::default(),
             &FaultPlan::none(),
-            vec![sleeper, announcer],
+            vec![Program::Sleeper, Program::Announcer],
         )
-        .expect("gated run failed");
+        .expect("sim run failed");
         assert!(report.clean_election(), "{:?}", report.outcomes);
     }
 }

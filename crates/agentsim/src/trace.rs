@@ -1,6 +1,6 @@
 //! Replayable execution traces.
 //!
-//! A gated run is a deterministic function of `(instance, protocol,
+//! A run is a deterministic function of `(instance, protocol,
 //! seed, grant sequence)`; the grant sequence — which agent the
 //! scheduler picked at each tick — is therefore a complete witness of
 //! the execution. A [`Trace`] packages that schedule together with the

@@ -47,7 +47,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// Replay `ops` against a tracker, returning the final counters and the
 /// sealed spans (any span still open at the end is force-closed, the
-/// same backstop the engines apply after an agent's program returns).
+/// same backstop the engine applies after an agent's program returns).
 fn replay(ops: &[Op]) -> (Counters, Metrics) {
     let tracker = SpanTracker::new(0);
     let mut now: Counters = (0, 0, 0);
@@ -140,7 +140,7 @@ fn span_snapshot_is_torn_read_free_under_concurrent_spans() {
                 am.accesses.fetch_add(1, Ordering::SeqCst);
                 am.waits.fetch_add(1, Ordering::SeqCst);
                 tracker.close("w", am.snapshot(), None);
-                // Drain sealed spans (as the engines do at teardown) so
+                // Drain sealed spans (as the engine does at teardown) so
                 // the closed list — which `snapshot` clones under the
                 // lock — stays O(1) and the reader's double-read
                 // discipline can converge. Sealed spans cost exactly

@@ -4,22 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// These benches time the gated-engine drivers directly, so they use
-// the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
+// These benches time the engine directly, so they use its per-run
+// config struct.
+use qelect_agentsim::sim::RunConfig;
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 fn bench_elect_cycles(c: &mut Criterion) {
@@ -71,7 +64,9 @@ fn bench_quantitative_baseline(c: &mut Criterion) {
         let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, 1, 3]).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &bc, |b, bc| {
             b.iter(|| {
-                let report = run_quantitative(bc, RunConfig::default(), &[5, 9, 2]);
+                let report = run_quantitative(bc, &Default::default(), &[5, 9, 2])
+                    .expect("crash-free runs cannot fail")
+                    .report;
                 assert!(report.clean_election());
                 report.metrics.total_work()
             })

@@ -5,22 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// The recording/replay/exploration drivers are gated-engine specific,
-// so these benches use the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
+// The recording/replay/exploration drivers take the engine's per-run
+// config struct.
+use qelect_agentsim::sim::RunConfig;
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 fn bench_recording_overhead(c: &mut Criterion) {

@@ -4,23 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// Policy ablation drives the gated engine directly, so this bench
-// uses the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
+// Policy ablation drives the engine directly, so this bench uses its
+// per-run config struct.
 use qelect_agentsim::sched::Policy;
+use qelect_agentsim::sim::RunConfig;
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 fn bench_policies(c: &mut Criterion) {

@@ -33,7 +33,6 @@ fn workload(trials: usize, workers: usize) -> SweepConfig {
                 p: 0.08,
             },
         ],
-        ..Default::default()
     }
 }
 

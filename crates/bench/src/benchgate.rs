@@ -17,7 +17,7 @@
 //!    [`ELECT_CURVE_TOP_N`] nodes, and the `host` it was measured on
 //!    (at least one core);
 //! 4. `BENCH_sim.json` must record its `host` the same way, and at
-//!    least [`PASSES`] timed passes per engine;
+//!    least [`PASSES`] timed passes;
 //! 5. `BENCH_serve.json` must report warm throughput of at least
 //!    `--min-warm-rps × (1 − --tolerance)`, where the floor defaults
 //!    to [`REQUIRED_WARM_SPEEDUP`] × the PR 5 single-shard baseline
@@ -212,9 +212,7 @@ fn check_report(
             .and_then(Value::as_num)
             .ok_or("missing numeric \"passes\"")?;
         if passes < PASSES as f64 {
-            return Err(format!(
-                "{passes} timed passes per engine (must be >= {PASSES})"
-            ));
+            return Err(format!("{passes} timed passes (must be >= {PASSES})"));
         }
         return check_host(&obj);
     }
@@ -472,12 +470,22 @@ mod tests {
             ..GateConfig::default()
         };
         let report = |fields: &str| {
-            format!("{{\"schema\": \"qelect-simbench/1\", {fields}\"passed\": true}}")
+            format!("{{\"schema\": \"qelect-simbench/2\", {fields}\"passed\": true}}")
         };
         let host = "\"host\": {\"cores\": 1, \"rustc\": null, \"git_rev\": null}, ";
         let good = format!("\"passes\": 5, {host}");
         std::fs::write(dir.join("BENCH_sim.json"), report(&good)).unwrap();
         assert!(run(&cfg).unwrap().passed());
+        // A report of the retired two-engine schema no longer passes.
+        let retired = report(&good).replace("qelect-simbench/2", "qelect-simbench/1");
+        std::fs::write(dir.join("BENCH_sim.json"), retired).unwrap();
+        let out = run(&cfg).unwrap();
+        assert!(!out.passed(), "accepted the retired schema");
+        assert!(
+            out.render().contains("qelect-simbench/1"),
+            "{}",
+            out.render()
+        );
         for (bad, reason) in [
             (host.to_string(), "passes"),
             (format!("\"passes\": 4, {host}"), "passes"),

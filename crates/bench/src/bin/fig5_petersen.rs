@@ -12,26 +12,11 @@
 
 use qelect::petersen::run_petersen;
 use qelect::prelude::*;
-// Policy rotation drives gated-only helpers; use the gated config.
-use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
 use qelect_bench::{header, row};
 use qelect_graph::surrounding::ordered_classes;
 use qelect_graph::{families, Bicolored};
 use qelect_group::recognition::{regular_subgroups, RecognitionBudget};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn main() {
     println!("# Figure 5 — the Petersen counterexample\n");
@@ -56,11 +41,9 @@ fn main() {
 
     println!("\n{}", header(&["protocol", "seed/policy", "outcome"]));
     for seed in 0..4u64 {
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
-        };
-        let elect = run_elect(&bc, cfg);
+        let elect = run_election(&bc, &RunConfig::new(seed))
+            .expect("crash-free runs cannot fail")
+            .report;
         println!(
             "{}",
             row(&[
@@ -80,11 +63,9 @@ fn main() {
         Policy::Lockstep,
         Policy::GreedyLowest,
     ] {
-        let cfg = RunConfig {
-            policy,
-            ..RunConfig::default()
-        };
-        let bespoke = run_petersen(&bc, cfg);
+        let bespoke = run_petersen(&bc, &RunConfig::default().policy(policy))
+            .expect("crash-free runs cannot fail")
+            .report;
         println!(
             "{}",
             row(&[

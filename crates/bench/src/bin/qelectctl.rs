@@ -13,7 +13,7 @@
 //! cargo run -p qelect-bench --bin qelectctl -- explore cycle:6 --agents 0,3 \
 //!     --target anon --emit-trace tests/traces/c6_two_leaders.json
 //! cargo run -p qelect-bench --release --bin qelectctl -- explore cycle:14 --agents 0,7 \
-//!     --target anon --engine sim --swarm 1000000 --workers 0 --json BENCH_explore.json
+//!     --target anon --swarm 1000000 --workers 0 --json BENCH_explore.json
 //! cargo run -p qelect-bench --release --bin qelectctl -- sweep --trials 100 --workers 8
 //! cargo run -p qelect-bench --release --bin qelectctl -- audit cycle:12@0,1,3 petersen@0,1 \
 //!     --json out.json
@@ -88,10 +88,9 @@ fn serve(inv: ServeInvocation) {
 
 fn load(inv: LoadInvocation) {
     println!(
-        "# qelectd load — {} clients × {}s per phase, engine {}{}{}{}\n",
+        "# qelectd load — {} clients × {}s per phase{}{}{}\n",
         inv.config.clients,
         inv.config.duration_secs,
-        inv.config.engine,
         match inv.config.batch {
             0 => String::new(),
             n => format!(", batch {n}"),
@@ -193,7 +192,7 @@ fn load(inv: LoadInvocation) {
 
 fn simbench(inv: SimBenchInvocation) {
     println!(
-        "# Engine throughput — {} instances × {} seeds × {} repeats, {} passes, gated vs sim\n",
+        "# Engine throughput — {} instances × {} seeds × {} repeats, {} passes\n",
         inv.config.instances.len(),
         inv.config.seeds.len(),
         inv.config.repeats,
@@ -202,12 +201,12 @@ fn simbench(inv: SimBenchInvocation) {
     let report = qelect_bench::simbench::run_simbench(&inv.config);
     print!("{}", report.render());
     write_file(&inv.json, &report.to_json());
-    println!("qelect-simbench/1 report written to {}", inv.json);
+    println!("qelect-simbench/2 report written to {}", inv.json);
     if !report.passed() {
-        eprintln!("FAIL: gated/sim divergence or oracle disagreement");
+        eprintln!("FAIL: oracle disagreement or an unstable leader");
         std::process::exit(1);
     }
-    println!("PASS: both engines agree with the oracle and with each other");
+    println!("PASS: every run agrees with the oracle");
 }
 
 fn canonbench(inv: CanonBenchInvocation) {
@@ -273,13 +272,11 @@ fn write_file(path: &str, text: &str) {
 }
 
 fn audit(inv: AuditInvocation) {
-    let engines: Vec<&str> = inv.config.engines.iter().map(|e| e.name()).collect();
     println!(
-        "# Phase-resolved audit — protocol {}, {} instances × {} seeds × [{}]\n",
+        "# Phase-resolved audit — protocol {}, {} instances × {} seeds\n",
         inv.config.protocol,
         inv.config.instances.len(),
         inv.config.seeds.len(),
-        engines.join(", "),
     );
     let audit = match report::run_audit(&inv.config) {
         Ok(a) => a,
@@ -344,16 +341,14 @@ fn audit(inv: AuditInvocation) {
 }
 
 fn faults(inv: FaultsInvocation) {
-    let engines: Vec<&str> = inv.config.engines.iter().map(|e| e.name()).collect();
     println!(
         "# Fault-injection crash sweep — {} instances × {} seeds × {} plans \
-         ({} crashes + {} delays each) × [{}]\n",
+         ({} crashes + {} delays each)\n",
         inv.config.instances.len(),
         inv.config.seeds.len(),
         inv.config.plans,
         inv.config.crashes,
         inv.config.delays,
-        engines.join(", "),
     );
     let report = match qelect_bench::faults::run_faults(&inv.config) {
         Ok(r) => r,
@@ -416,7 +411,7 @@ fn run(inv: Invocation) {
         }
     };
     println!(
-        "protocol {}: {} (n = {}, |E| = {}), agents at {:?}, seed {}, policy {:?}, engine {}",
+        "protocol {}: {} (n = {}, |E| = {}), agents at {:?}, seed {}, policy {:?}",
         entry.id,
         inv.family_spec,
         bc.n(),
@@ -424,7 +419,6 @@ fn run(inv: Invocation) {
         bc.homebases(),
         inv.seed,
         inv.policy,
-        inv.engine.name(),
     );
     if inv.dot {
         println!("{}", qelect_graph::dot::classes_to_dot(&bc));
@@ -433,9 +427,7 @@ fn run(inv: Invocation) {
     if entry.id.name() == "quantitative" {
         println!("labels: {:?}", qelect::registry::quantitative_ids(bc.r()));
     }
-    let cfg = RunConfig::new(inv.seed)
-        .policy(inv.policy)
-        .engine(inv.engine);
+    let cfg = RunConfig::new(inv.seed).policy(inv.policy);
     let report = match entry.run(&bc, &cfg) {
         Ok(election) => election.report,
         Err(e) => {
@@ -498,18 +490,15 @@ fn explore(inv: ExploreInvocation) {
         }
     };
     println!(
-        "explore {}: {} (n = {}, |E| = {}), agents at {:?}, seed {}, engine {}",
+        "explore {}: {} (n = {}, |E| = {}), agents at {:?}, seed {}",
         entry.id,
         inv.family_spec,
         bc.n(),
         bc.graph().m(),
         bc.homebases(),
         inv.seed,
-        inv.engine.name(),
     );
-    let run_cfg = RunConfig::new(inv.seed)
-        .engine(inv.engine)
-        .record_trace(true);
+    let run_cfg = RunConfig::new(inv.seed).record_trace(true);
     let session = match ExploreSession::from_entry(entry, &bc, &run_cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -560,7 +549,6 @@ fn explore(inv: ExploreInvocation) {
         family_spec: inv.family_spec.clone(),
         agents: inv.agents.clone(),
         seed: inv.seed,
-        engine: inv.engine,
         workers: inv.workers,
         preemption_bound: inv.preemption_bound,
         max_schedules: inv.max_schedules,
@@ -626,10 +614,9 @@ fn explore(inv: ExploreInvocation) {
 
 fn zoo(inv: ZooInvocation) {
     println!(
-        "# Protocol zoo — {} instances × {} protocols, engine {}, seed {}\n",
+        "# Protocol zoo — {} instances × {} protocols, seed {}\n",
         inv.config.instances.len(),
         inv.config.protocols.len(),
-        inv.config.engine.name(),
         inv.config.seed,
     );
     let report = qelect_bench::zoo::run_zoo(&inv.config);

@@ -14,25 +14,18 @@
 use qelect::anonymous::run_ring_probe;
 use qelect::prelude::*;
 use qelect::solvability::{elect_succeeds, election_possible_cayley, impossible_by_thm21};
-// Every cell is driven through gated-only helpers; use the gated config.
-use qelect_agentsim::gated::RunConfig;
+// The ring-probe and Cayley drivers take the engine's per-run config.
 use qelect_agentsim::sched::Policy;
+use qelect_agentsim::sim::RunConfig;
 use qelect_agentsim::AgentOutcome;
 use qelect_bench::{header, row, standard_suite};
 use qelect_graph::{families, Bicolored};
 use qelect_group::recognition::RecognitionBudget;
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 fn main() {
@@ -105,7 +98,8 @@ fn main() {
     let suite = standard_suite();
     for inst in &suite {
         let ids: Vec<u64> = (0..inst.bc.r() as u64).map(|i| 10 + i).collect();
-        let report = run_quantitative(&inst.bc, RunConfig::default(), &ids);
+        let report = run_quantitative(&inst.bc, &qelect_agentsim::RunConfig::default(), &ids)
+            .expect("crash-free runs cannot fail");
         if report.clean_election() {
             quant_ok += 1;
         }
@@ -119,7 +113,8 @@ fn main() {
     // ---- Petersen divergence for the open cell ----
     let pet = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
     let pet_elect = run_elect(&pet, RunConfig::default());
-    let pet_bespoke = qelect::petersen::run_petersen(&pet, RunConfig::default());
+    let pet_bespoke = qelect::petersen::run_petersen(&pet, &qelect_agentsim::RunConfig::default())
+        .expect("crash-free runs cannot fail");
     println!(
         "qualitative agents, Petersen pair: ELECT {}, bespoke protocol {} (ELECT not effectual \
          on arbitrary graphs; existence of an effectual protocol was the paper's Open Problem 1)",

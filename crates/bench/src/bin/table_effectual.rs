@@ -62,7 +62,7 @@ fn sweep(g: &Graph, max_r: usize, run_protocol: bool) -> SweepResult {
                 None => res.gray_zone += 1,
                 Some(expected) => {
                     if run_protocol {
-                        let report = run_translation_elect(&bc, RunConfig::default().to_gated());
+                        let report = run_translation_elect(&bc, RunConfig::default().to_sim());
                         let got = if report.clean_election() {
                             Some(true)
                         } else if report.unanimous_unsolvable() {

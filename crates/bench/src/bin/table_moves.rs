@@ -6,22 +6,14 @@
 //! checkpoints) is printed for one instance.
 
 use qelect::prelude::*;
-// The cost tables drive gated-only helpers; use the gated config.
-use qelect_agentsim::gated::RunConfig;
 use qelect_bench::{header, row, scaling_suite};
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+/// Crash-free ELECT with the default config.
+fn run_elect(bc: &Bicolored) -> RunReport {
+    run_election(bc, &RunConfig::default())
+        .expect("crash-free runs cannot fail")
+        .report
 }
 
 fn main() {
@@ -43,7 +35,7 @@ fn main() {
     let mut ratios: Vec<f64> = Vec::new();
     for inst in scaling_suite() {
         let bc = &inst.bc;
-        let report = run_elect(bc, RunConfig::default());
+        let report = run_elect(bc);
         assert!(
             report.interrupted.is_none(),
             "{}: interrupted {:?}",
@@ -77,7 +69,7 @@ fn main() {
 
     // Per-phase breakdown on one instance.
     let bc = Bicolored::new(families::cycle(12).unwrap(), &[0, 1, 3]).unwrap();
-    let report = run_elect(&bc, RunConfig::default());
+    let report = run_elect(&bc);
     println!("\n## Phase breakdown (C12, r = 3, agent 0 checkpoints)\n");
     println!(
         "{}",
@@ -104,12 +96,14 @@ fn main() {
     );
     for inst in scaling_suite() {
         let bc = &inst.bc;
-        let e = run_elect(bc, RunConfig::default());
+        let e = run_elect(bc);
         if e.interrupted.is_some() || !e.clean_election() {
             continue; // compare on solvable instances only
         }
         let ids: Vec<u64> = (0..bc.r() as u64).map(|i| 10 + i).collect();
-        let q = run_quantitative(bc, RunConfig::default(), &ids);
+        let q = run_quantitative(bc, &RunConfig::default(), &ids)
+            .expect("crash-free runs cannot fail")
+            .report;
         let ew = e.metrics.total_work() as f64;
         let qw = q.metrics.total_work() as f64;
         println!(

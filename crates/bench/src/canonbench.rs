@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use qelect::service::PreparedElection;
-use qelect_agentsim::{json, Engine, RunConfig};
+use qelect_agentsim::{json, RunConfig};
 use qelect_graph::canon::canonicalize;
 use qelect_graph::surrounding::surrounding;
 use qelect_graph::{cache, families, oracle, Bicolored};
@@ -368,7 +368,7 @@ fn elect_rung(n: usize, repeats: usize) -> ElectRung {
         let t0 = Instant::now();
         let prep = PreparedElection::new(bc.clone());
         let t1 = Instant::now();
-        let run = prep.run(&RunConfig::new(seed).engine(Engine::Sim));
+        let run = prep.run(&RunConfig::new(seed));
         let t2 = Instant::now();
         rung.ok &= run.is_ok_and(|run| prep.agrees(&run));
         rung.prepare_ms.push((t1 - t0).as_secs_f64() * 1e3);

@@ -14,8 +14,6 @@
 //! options:   --agents 0,1,3   home-bases (default: 0)
 //!            --seed N         run seed (default 0)
 //!            --policy P       random | round-robin | lockstep | greedy
-//!            --engine E       gated | sim (default gated; must be in the
-//!                             protocol's registry capability flags)
 //!            --dot            print the instance as Graphviz DOT
 //! ```
 //!
@@ -31,9 +29,6 @@
 //!            --target NAME         protocol under exploration (default
 //!                                  elect; any registry entry whose
 //!                                  capability flags say explorable)
-//!            --engine E            gated | sim (default gated; must be
-//!                                  supported by the target's registry
-//!                                  capability flags)
 //!            --max-schedules N     DFS schedule budget (default 1000)
 //!            --preemption-bound N  Chess-style bound (default 2)
 //!            --swarm N             coverage-guided swarm runs on top of
@@ -60,7 +55,6 @@
 //!            --repeats N           protocol runs per instance (default 2)
 //!            --bucket LO:HI:P      add a size/density bucket (repeatable;
 //!                                  default: the three E5 buckets)
-//!            --engine E            gated | sim (default gated)
 //!            --no-cache            disable the canonical-form memo cache
 //!            --json PATH           also write the schema-versioned JSON report
 //! ```
@@ -79,8 +73,6 @@
 //!                                  registry entry with an audit schema —
 //!                                  others are rejected with a typed error)
 //!            --seeds 0,1,2         run seeds (default 0,1,2)
-//!            --engine E            gated | sim | all (default all: both
-//!                                  engines)
 //!            --json PATH           write the schema-versioned JSON report
 //!            --baseline PATH       baseline file (default BENCH_audit.json)
 //!            --tolerance F         fractional regression tolerance (default 0.25)
@@ -98,8 +90,6 @@
 //!            --plans N             generated plans per seed (default 3)
 //!            --crashes N           crash events per plan (default 2)
 //!            --delays N            delay events per plan (default 1)
-//!            --engine E            gated | sim | all (default all: both
-//!                                  engines)
 //!            --json PATH           write the schema-versioned JSON report
 //! ```
 //!
@@ -136,10 +126,10 @@
 //!            --json PATH           report path (default BENCH_serve.json)
 //! ```
 //!
-//! The `simbench` subcommand runs the gated-vs-sim engine-throughput
-//! benchmark (see [`crate::simbench`]): the same crash-free ELECT
-//! workload timed on both deterministic engines, with a built-in
-//! differential check (same leader, same oracle verdict per seed):
+//! The `simbench` subcommand runs the engine-throughput benchmark (see
+//! [`crate::simbench`]): a crash-free ELECT workload timed on the sim
+//! engine, with a built-in check (oracle verdict and a stable leader
+//! per seed):
 //!
 //! ```text
 //! qelectctl simbench [spec[@a0,a1,…]…] [options]
@@ -147,7 +137,7 @@
 //! specs:     instances to time (default: a circulant-family ladder up
 //!            to C24 with r=12)
 //! options:   --seeds 0,1,2         run seeds (default 0,1,2)
-//!            --repeats N           elections per seed per engine and pass
+//!            --repeats N           elections per seed and pass
 //!                                  (default 8; 5 timed passes)
 //!            --json PATH           report path (default BENCH_sim.json)
 //! ```
@@ -179,13 +169,11 @@
 //! options:   --protocols a,b,c     registry names to run (default:
 //!                                  elect,cayley,quantitative,dp-anon,agent-elect)
 //!            --seed N              run seed (default 0)
-//!            --engine E            preferred engine, gated | sim (default
-//!                                  gated; per-cell fallback to a supported one)
 //!            --json PATH           report path (default BENCH_zoo.json)
 //! ```
 
 use qelect_agentsim::sched::Policy;
-use qelect_agentsim::{Engine, ProtocolId};
+use qelect_agentsim::ProtocolId;
 use qelect_graph::Graph;
 
 /// A fully parsed invocation.
@@ -201,9 +189,6 @@ pub struct Invocation {
     pub seed: u64,
     /// Scheduler policy.
     pub policy: Policy,
-    /// The engine to drive (gated or sim; the protocol's registry
-    /// capability flags say which engines it supports).
-    pub engine: Engine,
     /// Print DOT instead of metrics detail.
     pub dot: bool,
     /// The family spec (echoed in output).
@@ -222,9 +207,6 @@ pub struct ExploreInvocation {
     /// Protocol under exploration — a registry entry whose capability
     /// flags say explorable.
     pub target: ProtocolId,
-    /// The deterministic engine to explore on (gated or sim; coverage
-    /// signatures are identical on both).
-    pub engine: Engine,
     /// DFS schedule budget.
     pub max_schedules: usize,
     /// Chess-style preemption bound for the DFS.
@@ -258,7 +240,7 @@ pub struct SweepInvocation {
 /// A fully parsed `audit` invocation.
 #[derive(Debug)]
 pub struct AuditInvocation {
-    /// The audit configuration (instances, seeds, engines).
+    /// The audit configuration (instances, seeds).
     pub config: crate::report::AuditConfig,
     /// Where to write the schema-versioned JSON report, if anywhere.
     pub json: Option<String>,
@@ -273,7 +255,7 @@ pub struct AuditInvocation {
 /// A fully parsed `faults` invocation.
 #[derive(Debug)]
 pub struct FaultsInvocation {
-    /// The crash-sweep configuration (instances, seeds, plans, engines).
+    /// The crash-sweep configuration (instances, seeds, plans).
     pub config: crate::faults::FaultsConfig,
     /// Where to write the schema-versioned JSON report, if anywhere.
     pub json: Option<String>,
@@ -303,7 +285,7 @@ pub struct LoadInvocation {
 pub struct SimBenchInvocation {
     /// The throughput-comparison configuration (instances, seeds, repeats).
     pub config: crate::simbench::SimBenchConfig,
-    /// Where the `qelect-simbench/1` report is written.
+    /// Where the `qelect-simbench/2` report is written.
     pub json: String,
 }
 
@@ -326,8 +308,7 @@ pub struct CanonBenchInvocation {
 /// A fully parsed `zoo` invocation.
 #[derive(Debug)]
 pub struct ZooInvocation {
-    /// The cross-protocol experiment shape (instances, protocols, seed,
-    /// preferred engine).
+    /// The cross-protocol experiment shape (instances, protocols, seed).
     pub config: crate::zoo::ZooConfig,
     /// Where the `qelect-zoo/1` report is written.
     pub json: String,
@@ -422,7 +403,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
     if args.len() < 2 {
         return err(
             "usage: qelectctl <protocol> <family> [--agents 0,1,3] [--seed N] \
-             [--policy P] [--engine gated|sim] [--dot]",
+             [--policy P] [--dot]",
         );
     }
     let protocol = parse_protocol(&args[0])?;
@@ -431,7 +412,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
     let mut agents = vec![0usize];
     let mut seed = 0u64;
     let mut policy = Policy::Random;
-    let mut engine = Engine::Gated;
     let mut dot = false;
     let mut i = 2;
     while i < args.len() {
@@ -467,13 +447,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
                     other => return err(format!("unknown policy '{other}'")),
                 };
             }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                engine = parse_single_engine(v)?;
-            }
             "--dot" => dot = true,
             other => return err(format!("unknown option '{other}'")),
         }
@@ -485,7 +458,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
         agents,
         seed,
         policy,
-        engine,
         dot,
         family_spec,
     })
@@ -497,7 +469,7 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
     if args.is_empty() {
         return err(
             "usage: qelectctl explore <family> [--agents 0,1,3] [--seed N] \
-             [--target elect|anon|dp|agent] [--engine gated|sim] \
+             [--target elect|anon|dp|agent] \
              [--max-schedules N] [--preemption-bound N] [--swarm N] \
              [--workers N] [--emit-trace PATH] [--emit-shrunk PATH] \
              [--json PATH]",
@@ -510,7 +482,6 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
         agents: vec![0usize],
         seed: 0,
         target: qelect::registry::default_entry().id,
-        engine: Engine::Gated,
         max_schedules: 1000,
         preemption_bound: 2,
         swarm_runs: 64,
@@ -556,13 +527,6 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
                 }
                 inv.target = entry.id;
             }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                inv.engine = parse_single_engine(v)?;
-            }
             "--max-schedules" => {
                 i += 1;
                 let v = args
@@ -599,16 +563,6 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
             other => return err(format!("unknown explore option '{other}'")),
         }
         i += 1;
-    }
-    // The engine must be in the target's capability flags — checked here
-    // so the rejection is order-independent in `--target`/`--engine`.
-    let entry = qelect::registry::get(inv.target);
-    if !entry.supports(inv.engine) {
-        return err(format!(
-            "protocol '{}' does not support engine '{}'",
-            entry.id.name(),
-            inv.engine.name()
-        ));
     }
     if inv.workers == 0 {
         inv.workers = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -680,13 +634,6 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepInvocation, ParseError> {
                 }
                 buckets.push(bucket);
             }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engine = parse_single_engine(v)?;
-            }
             "--no-cache" => no_cache = true,
             "--json" => {
                 i += 1;
@@ -721,29 +668,13 @@ pub fn parse_audit_instance(spec: &str) -> Result<crate::report::AuditInstance, 
     ))
 }
 
-/// Parse an engine name (`gated` or `sim`).
-fn parse_single_engine(v: &str) -> Result<Engine, ParseError> {
-    Engine::parse(v)
-        .ok_or_else(|| ParseError(format!("unknown engine '{v}' (expected gated or sim)")))
-}
-
-/// Parse an `--engine` selector shared by `audit` and `faults`: one
-/// engine name, or `all` (both engines, the default).
-fn parse_engine_list(v: &str) -> Result<Vec<Engine>, ParseError> {
-    match (v, Engine::parse(v)) {
-        ("all", _) => Ok(Engine::ALL.to_vec()),
-        (_, Some(engine)) => Ok(vec![engine]),
-        _ => err(format!("unknown engine '{v}' (expected gated, sim or all)")),
-    }
-}
-
 /// Parse an `audit` argv (without the binary name and the `audit` token
 /// itself).
 pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
     if args.is_empty() {
         return err(
             "usage: qelectctl audit <spec[@a0,a1,…]>… [--protocol NAME] \
-             [--seeds 0,1,2] [--engine gated|sim|all] [--json PATH] \
+             [--seeds 0,1,2] [--json PATH] \
              [--baseline PATH] [--tolerance F] [--write-baseline]",
         );
     }
@@ -778,13 +709,6 @@ pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
                 let parsed: Result<Vec<usize>, _> =
                     v.split(',').map(|s| parse_usize(s, "seed")).collect();
                 config.seeds = parsed?.into_iter().map(|s| s as u64).collect();
-            }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engines = parse_engine_list(v)?;
             }
             "--json" => inv_json = Some(parse_path_flag(args, &mut i, "--json")?),
             "--baseline" => baseline = parse_path_flag(args, &mut i, "--baseline")?,
@@ -825,8 +749,7 @@ pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
 pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
     if args.is_empty() {
         return err("usage: qelectctl faults <spec[@a0,a1,…]>… [--seeds 0,1] \
-             [--plans N] [--crashes N] [--delays N] \
-             [--engine gated|sim|all] [--json PATH]");
+             [--plans N] [--crashes N] [--delays N] [--json PATH]");
     }
     let mut config = crate::faults::FaultsConfig::default();
     let mut inv_json = None;
@@ -866,13 +789,7 @@ pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
                     .ok_or(ParseError("--delays needs a value".into()))?;
                 config.delays = parse_usize(v, "delay count")?;
             }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engines = parse_engine_list(v)?;
-            }
+
             "--json" => {
                 i += 1;
                 let v = args
@@ -897,8 +814,7 @@ pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
 }
 
 /// The default `simbench` workload: a circulant-family ladder with
-/// growing node and agent counts (r = n/2 at the top, where the gated
-/// engine's per-step OS handoffs dominate and the sim advantage peaks).
+/// growing node and agent counts (r = n/2 at the top).
 fn default_simbench_instances() -> Result<Vec<crate::report::AuditInstance>, ParseError> {
     [
         "cycle:6@0,2,3",
@@ -1178,13 +1094,6 @@ pub fn parse_load(args: &[String]) -> Result<LoadInvocation, ParseError> {
                     ));
                 }
             }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engine = parse_single_engine(v)?.name().to_string();
-            }
             "--protocol" => {
                 i += 1;
                 let v = args
@@ -1276,13 +1185,6 @@ pub fn parse_zoo(args: &[String]) -> Result<ZooInvocation, ParseError> {
                     .get(i)
                     .ok_or(ParseError("--seed needs a value".into()))?;
                 config.seed = parse_usize(v, "seed")? as u64;
-            }
-            "--engine" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engine = parse_single_engine(v)?;
             }
             "--json" => {
                 i += 1;
@@ -1469,7 +1371,6 @@ mod tests {
         assert_eq!(inv.graph.n(), 9);
         assert_eq!(inv.agents, vec![0]);
         assert_eq!(inv.target.name(), "elect");
-        assert_eq!(inv.engine, Engine::Gated);
         assert_eq!(inv.max_schedules, 1000);
         assert_eq!(inv.preemption_bound, 2);
         assert_eq!(inv.swarm_runs, 64);
@@ -1482,7 +1383,7 @@ mod tests {
     fn parses_explore_full_options() {
         let cmd = parse_command(&argv(
             "explore cycle:6 --agents 0,3 --seed 7 --target anon \
-             --engine sim --max-schedules 50 --preemption-bound 1 --swarm 5 \
+             --max-schedules 50 --preemption-bound 1 --swarm 5 \
              --workers 2 --emit-trace /tmp/t.json --json /tmp/e.json",
         ))
         .unwrap();
@@ -1492,7 +1393,6 @@ mod tests {
         assert_eq!(inv.agents, vec![0, 3]);
         assert_eq!(inv.seed, 7);
         assert_eq!(inv.target.name(), "anonymous");
-        assert_eq!(inv.engine, Engine::Sim);
         assert_eq!(inv.max_schedules, 50);
         assert_eq!(inv.preemption_bound, 1);
         assert_eq!(inv.swarm_runs, 5);
@@ -1568,23 +1468,17 @@ mod tests {
         assert_eq!(inv.config.instances[1].agents, vec![0], "default home-base");
         assert_eq!(inv.config.instances[1].family(), "petersen");
         assert_eq!(inv.config.seeds, vec![0, 1, 2]);
-        assert_eq!(inv.config.engines, Engine::ALL, "default: both engines");
         assert_eq!(inv.config.protocol.name(), "elect", "default protocol");
         assert_eq!(inv.baseline, "BENCH_audit.json");
         assert!((inv.tolerance - crate::report::DEFAULT_TOLERANCE).abs() < 1e-12);
         assert!(!inv.write_baseline);
         assert!(inv.json.is_none());
-        let Command::Audit(all) = parse_command(&argv("audit cycle:6 --engine all")).unwrap()
-        else {
-            panic!("expected audit")
-        };
-        assert_eq!(all.config.engines, Engine::ALL);
     }
 
     #[test]
     fn parses_audit_full_options() {
         let cmd = parse_command(&argv(
-            "audit circulant:12:1,3@0,1,3 --seeds 4,5 --engine gated \
+            "audit circulant:12:1,3@0,1,3 --seeds 4,5 \
              --json out.json --baseline B.json --tolerance 0.5 --write-baseline",
         ))
         .unwrap();
@@ -1594,7 +1488,6 @@ mod tests {
         assert_eq!(inv.config.instances[0].spec, "circulant:12:1,3");
         assert_eq!(inv.config.instances[0].agents, vec![0, 1, 3]);
         assert_eq!(inv.config.seeds, vec![4, 5]);
-        assert_eq!(inv.config.engines, vec![Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("out.json"));
         assert_eq!(inv.baseline, "B.json");
         assert!((inv.tolerance - 0.5).abs() < 1e-12);
@@ -1623,11 +1516,6 @@ mod tests {
         assert!(parse_command(&argv("audit")).is_err());
         assert!(parse_command(&argv("audit nosuch:5")).is_err());
         assert!(parse_command(&argv("audit cycle:6@x")).is_err());
-        for engine in ["warp", "free", "both"] {
-            let err =
-                parse_command(&argv(&format!("audit cycle:6 --engine {engine}"))).unwrap_err();
-            assert!(err.0.contains("unknown engine"), "{engine}: {}", err.0);
-        }
         assert!(parse_command(&argv("audit cycle:6 --tolerance -1")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --tolerance x")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --frobnicate")).is_err());
@@ -1647,7 +1535,6 @@ mod tests {
         assert_eq!(inv.config.plans, 3);
         assert_eq!(inv.config.crashes, 2);
         assert_eq!(inv.config.delays, 1);
-        assert_eq!(inv.config.engines, Engine::ALL, "default: both engines");
         assert!(inv.json.is_none());
     }
 
@@ -1655,7 +1542,7 @@ mod tests {
     fn parses_faults_full_options() {
         let cmd = parse_command(&argv(
             "faults cycle:6@0,3 --seeds 4,5 --plans 2 --crashes 3 --delays 0 \
-             --engine gated --json f.json",
+             --json f.json",
         ))
         .unwrap();
         let Command::Faults(inv) = cmd else {
@@ -1665,7 +1552,6 @@ mod tests {
         assert_eq!(inv.config.plans, 2);
         assert_eq!(inv.config.crashes, 3);
         assert_eq!(inv.config.delays, 0);
-        assert_eq!(inv.config.engines, vec![Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("f.json"));
     }
 
@@ -1674,11 +1560,6 @@ mod tests {
         assert!(parse_command(&argv("faults")).is_err());
         assert!(parse_command(&argv("faults nosuch:5")).is_err());
         assert!(parse_command(&argv("faults cycle:6@x")).is_err());
-        for engine in ["warp", "free", "both"] {
-            let err =
-                parse_command(&argv(&format!("faults cycle:6 --engine {engine}"))).unwrap_err();
-            assert!(err.0.contains("unknown engine"), "{engine}: {}", err.0);
-        }
         assert!(parse_command(&argv("faults cycle:6 --plans 0")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --crashes x")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --frobnicate")).is_err());
@@ -1784,8 +1665,6 @@ mod tests {
         assert!(parse_command(&argv("load --mix nosuch:5")).is_err());
         assert!(parse_command(&argv("load --mix cycle:6@0,0")).is_err());
         assert!(parse_command(&argv("load --policy warp")).is_err());
-        assert!(parse_command(&argv("load --engine warp")).is_err());
-        assert!(parse_command(&argv("load --engine free")).is_err());
         assert!(parse_command(&argv("load --batch 100000")).is_err());
         assert!(parse_command(&argv("load --shards 0")).is_err());
         assert!(
@@ -1805,14 +1684,13 @@ mod tests {
     #[test]
     fn parses_load_batch_shards_store_chaos() {
         let cmd = parse_command(&argv(
-            "load --batch 16 --engine sim --shards 4 --store /tmp/q.bin --chaos 2",
+            "load --batch 16 --shards 4 --store /tmp/q.bin --chaos 2",
         ))
         .unwrap();
         let Command::Load(inv) = cmd else {
             panic!("expected load")
         };
         assert_eq!(inv.config.batch, 16);
-        assert_eq!(inv.config.engine, "sim");
         assert_eq!(inv.config.serve.shards, 4);
         assert_eq!(inv.config.serve.store.as_deref(), Some("/tmp/q.bin"));
         assert_eq!(inv.config.chaos, 2);
@@ -1821,7 +1699,6 @@ mod tests {
             panic!("expected load")
         };
         assert_eq!(inv.config.batch, 0, "single-request mode by default");
-        assert_eq!(inv.config.engine, "gated");
         assert_eq!(inv.config.chaos, 0);
     }
 
@@ -1943,8 +1820,6 @@ mod tests {
         assert!(parse_command(&argv("explore")).is_err());
         assert!(parse_command(&argv("explore nosuch:5")).is_err());
         assert!(parse_command(&argv("explore cycle:5 --target warp")).is_err());
-        assert!(parse_command(&argv("explore cycle:5 --engine warp")).is_err());
-        assert!(parse_command(&argv("explore cycle:5 --engine free")).is_err());
         assert!(parse_command(&argv("explore cycle:5 --workers x")).is_err());
         assert!(parse_command(&argv("explore cycle:5 --frobnicate")).is_err());
         assert!(parse_command(&argv("explore cycle:5 --emit-trace")).is_err());
@@ -2002,7 +1877,7 @@ mod tests {
     fn parses_zoo_full_options() {
         let cmd = parse_command(&argv(
             "zoo cycle:6@0,3 path:5@1,3 --protocols elect,dp --seed 9 \
-             --engine sim --json /tmp/z.json",
+             --json /tmp/z.json",
         ))
         .unwrap();
         let Command::Zoo(inv) = cmd else {
@@ -2010,7 +1885,6 @@ mod tests {
         };
         assert_eq!(inv.json, "/tmp/z.json");
         assert_eq!(inv.config.seed, 9);
-        assert_eq!(inv.config.engine, Engine::Sim);
         assert_eq!(inv.config.instances.len(), 2);
         assert_eq!(inv.config.instances[0].key(), "cycle:6@0,3");
         let names: Vec<&str> = inv.config.protocols.iter().map(|p| p.name()).collect();
@@ -2022,8 +1896,25 @@ mod tests {
         assert!(parse_command(&argv("zoo nosuch:5")).is_err());
         assert!(parse_command(&argv("zoo cycle:6@x")).is_err());
         assert!(parse_command(&argv("zoo --protocols warp")).is_err());
-        assert!(parse_command(&argv("zoo --engine warp")).is_err());
         assert!(parse_command(&argv("zoo --frobnicate")).is_err());
+    }
+
+    #[test]
+    fn no_subcommand_accepts_an_engine_flag() {
+        // One engine runs everything, so there is nothing to select.
+        for cmd in [
+            "elect cycle:9",
+            "explore cycle:5",
+            "sweep",
+            "audit cycle:6",
+            "faults cycle:6",
+            "load",
+            "zoo",
+            "simbench",
+        ] {
+            let err = parse_command(&argv(&format!("{cmd} --engine sim"))).unwrap_err();
+            assert!(err.0.contains("--engine"), "{cmd}: {}", err.0);
+        }
     }
 
     #[test]

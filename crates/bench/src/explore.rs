@@ -2,8 +2,8 @@
 //! export and the `BENCH_explore.json` artifact benchgate validates.
 //!
 //! [`ExploreRunReport`] wraps one [`qelect_agentsim::explore::ExploreReport`]
-//! with the configuration that produced it (protocol, instance, engine,
-//! worker count, bounds) and the wall-clock measurement, and serializes
+//! with the configuration that produced it (protocol, instance, worker
+//! count, bounds) and the wall-clock measurement, and serializes
 //! the whole thing under the [`EXPLORE_SCHEMA`] envelope. The document is
 //! self-describing enough for the gate to re-check the headline claims:
 //! total schedules visited, unique coverage signatures, and the pass
@@ -34,8 +34,6 @@ pub struct ExploreRunReport {
     pub agents: Vec<usize>,
     /// Base run seed (the swarm seed is derived from it).
     pub seed: u64,
-    /// Engine driven.
-    pub engine: Engine,
     /// Worker threads used (results are worker-count invariant).
     pub workers: usize,
     /// DFS preemption bound.
@@ -104,7 +102,7 @@ impl ExploreRunReport {
         s.push_str(&format!(
             "  \"seed\": {}, \"engine\": {}, \"workers\": {},\n",
             self.seed,
-            json::escape(self.engine.name()),
+            json::escape(Engine::Sim.name()),
             self.workers
         ));
         s.push_str(&format!(
@@ -205,7 +203,7 @@ mod tests {
     fn tiny_run() -> ExploreRunReport {
         let entry = qelect::registry::resolve("anonymous").unwrap();
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let run_cfg = RunConfig::new(7).engine(Engine::Sim).record_trace(true);
+        let run_cfg = RunConfig::new(7).record_trace(true);
         let session = qelect::prelude::ExploreSession::from_entry(entry, &bc, &run_cfg).unwrap();
         let report = session.explore(&ExploreConfig {
             max_schedules: 64,
@@ -222,7 +220,6 @@ mod tests {
             family_spec: "cycle:6".into(),
             agents: vec![0, 3],
             seed: 7,
-            engine: Engine::Sim,
             workers: 2,
             preemption_bound: 2,
             max_schedules: 64,

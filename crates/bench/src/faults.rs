@@ -3,7 +3,7 @@
 //! `qelectctl faults` (and the CI smoke job behind it) drives this
 //! module: for every named instance, generate seeded [`FaultPlan`]s in
 //! the eventually-restarting regime, run crash-recovering ELECT under
-//! them on the selected engines, and gate on the Theorem 3.1 oracle —
+//! them, and gate on the Theorem 3.1 oracle —
 //! with every crashed agent eventually restarting, the run must elect
 //! exactly when `gcd(|C_i|) = 1`, crashes or not. Every trial is
 //! additionally replayed (same plan, same seed, same scheduler) and must
@@ -33,7 +33,7 @@ pub const FAULTS_SCHEMA: &str = json::envelope::FAULTS;
 pub struct FaultsConfig {
     /// The instances to sweep.
     pub instances: Vec<AuditInstance>,
-    /// Run seeds; every (instance, seed, plan, engine) tuple is one trial.
+    /// Run seeds; every (instance, seed, plan) tuple is one trial.
     pub seeds: Vec<u64>,
     /// Generated fault plans per (instance, seed).
     pub plans: usize,
@@ -41,8 +41,6 @@ pub struct FaultsConfig {
     pub crashes: usize,
     /// Delay events per generated plan.
     pub delays: usize,
-    /// The engines to drive.
-    pub engines: Vec<Engine>,
 }
 
 impl Default for FaultsConfig {
@@ -53,15 +51,14 @@ impl Default for FaultsConfig {
             plans: 3,
             crashes: 2,
             delays: 1,
-            engines: Engine::ALL.to_vec(),
         }
     }
 }
 
-/// One (seed, plan, engine) trial of one instance.
+/// One (seed, plan) trial of one instance.
 #[derive(Debug, Clone)]
 pub struct FaultTrial {
-    /// Engine name (`"gated"` / `"sim"`).
+    /// Engine name (`"sim"`).
     pub engine: &'static str,
     /// Run seed.
     pub seed: u64,
@@ -92,9 +89,9 @@ pub struct InstanceFaults {
     pub r: usize,
     /// The gcd oracle's verdict for the instance.
     pub solvable: bool,
-    /// Total work of a crash-free gated run (the overhead baseline).
+    /// Total work of a crash-free run (the overhead baseline).
     pub baseline_work: u64,
-    /// Every trial, in (seed, plan, engine) order.
+    /// Every trial, in (seed, plan) order.
     pub trials: Vec<FaultTrial>,
 }
 
@@ -322,17 +319,14 @@ fn probe_horizon(report: &RunReport) -> u64 {
         .max(2)
 }
 
-/// Run the crash sweep: every instance × seed × plan × engine.
+/// Run the crash sweep: every instance × seed × plan.
 ///
-/// Errors on invalid placements, on an empty seed/engine list, and on
-/// engine-level run failures (exhausted restart budgets cannot happen
+/// Errors on invalid placements, on an empty seed list or zero plans,
+/// and on engine-level run failures (exhausted restart budgets cannot happen
 /// here — generated plans stay inside the recovery policy's budget).
 pub fn run_faults(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
     if cfg.seeds.is_empty() {
         return Err("faults sweep needs at least one seed".into());
-    }
-    if cfg.engines.is_empty() {
-        return Err("faults sweep needs at least one engine".into());
     }
     if cfg.plans == 0 {
         return Err("faults sweep needs at least one plan per seed".into());
@@ -352,32 +346,28 @@ pub fn run_faults(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(p as u64);
                 let plan = FaultPlan::generate(plan_seed, bc.r(), horizon, cfg.crashes, cfg.delays);
-                for &engine in &cfg.engines {
-                    let run_cfg = RunConfig::new(seed).engine(engine).faults(plan.clone());
-                    let run = run_election(&bc, &run_cfg).map_err(|e| {
-                        format!("{}: {} run failed: {e}", inst.key(), engine.name())
-                    })?;
-                    let agree = if solvable {
-                        run.clean_election()
-                    } else {
-                        run.report.unanimous_unsolvable()
-                    };
-                    let again = run_election(&bc, &run_cfg).map_err(|e| {
-                        format!("{}: {} replay failed: {e}", inst.key(), engine.name())
-                    })?;
-                    let replay_identical =
-                        replay_fingerprint(&again.report) == replay_fingerprint(&run.report);
-                    trials.push(FaultTrial {
-                        engine: engine.name(),
-                        seed,
-                        plan: p,
-                        agree,
-                        replay_identical,
-                        summary: run.faults,
-                        work: run.report.metrics.total_work(),
-                        recovery_work: recovery_work(&run.report),
-                    });
-                }
+                let run_cfg = RunConfig::new(seed).faults(plan);
+                let run = run_election(&bc, &run_cfg)
+                    .map_err(|e| format!("{}: run failed: {e}", inst.key()))?;
+                let agree = if solvable {
+                    run.clean_election()
+                } else {
+                    run.report.unanimous_unsolvable()
+                };
+                let again = run_election(&bc, &run_cfg)
+                    .map_err(|e| format!("{}: replay failed: {e}", inst.key()))?;
+                let replay_identical =
+                    replay_fingerprint(&again.report) == replay_fingerprint(&run.report);
+                trials.push(FaultTrial {
+                    engine: run.engine,
+                    seed,
+                    plan: p,
+                    agree,
+                    replay_identical,
+                    summary: run.faults,
+                    work: run.report.metrics.total_work(),
+                    recovery_work: recovery_work(&run.report),
+                });
             }
         }
         instances.push(InstanceFaults {
@@ -415,7 +405,6 @@ mod tests {
             plans: 2,
             crashes: 2,
             delays: 1,
-            engines: vec![Engine::Gated],
         }
     }
 
@@ -448,7 +437,6 @@ mod tests {
             plans: 1,
             crashes: 1,
             delays: 0,
-            engines: vec![Engine::Gated],
         })
         .unwrap();
         let text = report.to_json();
@@ -473,9 +461,6 @@ mod tests {
     fn empty_configs_are_rejected() {
         let mut cfg = tiny_config();
         cfg.seeds.clear();
-        assert!(run_faults(&cfg).is_err());
-        let mut cfg = tiny_config();
-        cfg.engines.clear();
         assert!(run_faults(&cfg).is_err());
         let mut cfg = tiny_config();
         cfg.plans = 0;

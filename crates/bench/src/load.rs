@@ -27,15 +27,11 @@
 //!    hits > 0 from the replay-driven rebuild alone, and one pass over
 //!    the mix in 100% oracle agreement.
 //!
-//! Two orthogonal knobs change *how* the closed loop drives the daemon:
-//!
-//! * `--batch N` sends `N` elections per round-trip through
-//!   `POST /v1/batch` instead of one through `/v1/elect`. Throughput
-//!   still counts *elections* per second (so batch and single runs are
-//!   comparable); the latency histogram records per-*round-trip*
-//!   latencies in batch mode.
-//! * `--engine` selects the execution engine sent with every request
-//!   (`gated` by default; `sim` is byte-identical and much faster).
+//! `--batch N` changes *how* the closed loop drives the daemon: it
+//! sends `N` elections per round-trip through `POST /v1/batch` instead
+//! of one through `/v1/elect`. Throughput still counts *elections* per
+//! second (so batch and single runs are comparable); the latency
+//! histogram records per-*round-trip* latencies in batch mode.
 //!
 //! [`chaos_run`] is the unclean sibling of the drain check: it spawns
 //! the daemon as a *subprocess*, SIGKILLs it mid-load, restarts it on
@@ -55,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use qelect_agentsim::json::{envelope, escape, get, Value};
 use qelect_agentsim::sched::Policy;
+use qelect_agentsim::Engine;
 
 use crate::report::WorkHistogram;
 use crate::serve::{self, policy_name, ServeConfig, ServerHandle};
@@ -79,8 +76,6 @@ pub struct LoadConfig {
     /// Elections per round-trip via `POST /v1/batch` (0 = one per
     /// `POST /v1/elect`).
     pub batch: usize,
-    /// Engine name sent with every request (`gated` or `sim`).
-    pub engine: String,
     /// Protocol wire name sent with every request. The default
     /// ([`qelect::registry::DEFAULT_PROTOCOL`]) is *omitted* from the
     /// request body, pinning the absent-field wire format.
@@ -102,7 +97,6 @@ impl Default for LoadConfig {
             mix: Vec::new(),
             drain_burst: 16,
             batch: 0,
-            engine: "gated".to_string(),
             protocol: qelect::registry::DEFAULT_PROTOCOL.to_string(),
             chaos: 0,
             serve: ServeConfig::default(),
@@ -284,19 +278,18 @@ fn protocol_field(protocol: &str) -> String {
     }
 }
 
-fn elect_body(spec: &str, policy: Policy, engine: &str, protocol: &str, seed: u64) -> String {
+fn elect_body(spec: &str, policy: Policy, protocol: &str, seed: u64) -> String {
     format!(
-        "{{\"schema\": {}, \"spec\": {}, \"engine\": {}, \"policy\": {}, \"seed\": {seed}{}}}",
+        "{{\"schema\": {}, \"spec\": {}, \"policy\": {}, \"seed\": {seed}{}}}",
         escape(envelope::REQUEST),
         escape(spec),
-        escape(engine),
         escape(policy_name(policy)),
         protocol_field(protocol),
     )
 }
 
 /// Build one `POST /v1/batch` body from `(spec, seed)` pairs.
-fn batch_body(items: &[(String, u64)], policy: Policy, engine: &str, protocol: &str) -> String {
+fn batch_body(items: &[(String, u64)], policy: Policy, protocol: &str) -> String {
     let mut s = format!(
         "{{\"schema\": {}, \"requests\": [",
         escape(envelope::REQUEST)
@@ -306,9 +299,8 @@ fn batch_body(items: &[(String, u64)], policy: Policy, engine: &str, protocol: &
             s.push_str(", ");
         }
         s.push_str(&format!(
-            "{{\"spec\": {}, \"engine\": {}, \"policy\": {}, \"seed\": {seed}{}}}",
+            "{{\"spec\": {}, \"policy\": {}, \"seed\": {seed}{}}}",
             escape(spec),
-            escape(engine),
             escape(policy_name(policy)),
             protocol_field(protocol),
         ));
@@ -479,8 +471,6 @@ pub struct LoadReport {
     pub clients: usize,
     /// Request mix (instance spec keys).
     pub mix: Vec<String>,
-    /// Engine sent with every request.
-    pub engine: String,
     /// Elections per round-trip (0 = single-request mode).
     pub batch: usize,
     /// Shards of the (in-process) daemon under test.
@@ -557,7 +547,7 @@ impl LoadReport {
         s.push_str("],\n");
         s.push_str(&format!(
             "  \"engine\": {}, \"batch\": {}, \"shards\": {},\n",
-            escape(&self.engine),
+            escape(Engine::Sim.name()),
             self.batch,
             self.shards
         ));
@@ -661,7 +651,7 @@ fn run_phase(
                             })
                             .collect();
                         n += cfg.batch as u64;
-                        let body = batch_body(&items, cfg.policy, &cfg.engine, &cfg.protocol);
+                        let body = batch_body(&items, cfg.policy, &cfg.protocol);
                         let sent = Instant::now();
                         match client.request("POST", "/v1/batch", &body) {
                             Ok(resp) if resp.code == 200 => {
@@ -692,13 +682,7 @@ fn run_phase(
                     // Distinct seeds across clients keep the phase free
                     // of single-flight coalescing: every request is a
                     // real election.
-                    let body = elect_body(
-                        &item.spec,
-                        cfg.policy,
-                        &cfg.engine,
-                        &cfg.protocol,
-                        client_seed + n,
-                    );
+                    let body = elect_body(&item.spec, cfg.policy, &cfg.protocol, client_seed + n);
                     n += 1;
                     let sent = Instant::now();
                     match client.request("POST", "/v1/elect", &body) {
@@ -785,12 +769,11 @@ fn drain_check(
             let (admitted, refused, dropped, fired) = (&admitted, &refused, &dropped, &fired);
             let spec = mix[i % mix.len()].spec.clone();
             let policy = cfg.policy;
-            let engine = cfg.engine.clone();
             let protocol = cfg.protocol.clone();
             scope.spawn(move || {
                 // Seeds disjoint from the measured phases, distinct per
                 // request, so the burst is `drain_burst` real jobs.
-                let body = elect_body(&spec, policy, &engine, &protocol, 0xD4A1_0000 + i as u64);
+                let body = elect_body(&spec, policy, &protocol, 0xD4A1_0000 + i as u64);
                 fired.store(true, Ordering::SeqCst);
                 match one_shot(addr, "POST", "/v1/elect", &body) {
                     Ok(resp) if resp.code == 200 => admitted.fetch_add(1, Ordering::Relaxed),
@@ -838,7 +821,6 @@ fn recovery_check(cfg: &LoadConfig, mix: &[MixItem]) -> Result<RecoveryReport, S
         let body = elect_body(
             &item.spec,
             cfg.policy,
-            &cfg.engine,
             &cfg.protocol,
             0x4EC0_0000 + i as u64,
         );
@@ -887,13 +869,7 @@ pub fn run(cfg: &LoadConfig) -> Result<(LoadReport, Option<String>), String> {
     // Warm: cache on, cleared, then primed with one pass over the mix.
     set_cache(addr, true)?;
     for (i, item) in mix.iter().enumerate() {
-        let body = elect_body(
-            &item.spec,
-            cfg.policy,
-            &cfg.engine,
-            &cfg.protocol,
-            0xAAAA + i as u64,
-        );
+        let body = elect_body(&item.spec, cfg.policy, &cfg.protocol, 0xAAAA + i as u64);
         let _ = one_shot(addr, "POST", "/v1/elect", &body);
     }
     let warm = run_phase("warm", addr, cfg, &mix, 1_000_000_007);
@@ -916,7 +892,6 @@ pub fn run(cfg: &LoadConfig) -> Result<(LoadReport, Option<String>), String> {
         LoadReport {
             clients: cfg.clients,
             mix: mix.into_iter().map(|m| m.spec).collect(),
-            engine: cfg.engine.clone(),
             batch: cfg.batch,
             shards: cfg.serve.shards,
             cold,
@@ -1035,7 +1010,7 @@ pub fn chaos_run(cfg: &LoadConfig, exe: &std::path::Path) -> Result<ChaosReport,
                                 })
                                 .collect();
                             n += cfg.batch as u64;
-                            let body = batch_body(&items, cfg.policy, &cfg.engine, &cfg.protocol);
+                            let body = batch_body(&items, cfg.policy, &cfg.protocol);
                             client.request("POST", "/v1/batch", &body).map(|resp| {
                                 if resp.code == 200 {
                                     if let Ok(t) = check_batch_response(&resp.body, &solvable) {
@@ -1046,13 +1021,8 @@ pub fn chaos_run(cfg: &LoadConfig, exe: &std::path::Path) -> Result<ChaosReport,
                             })
                         } else {
                             let item = &mix[(n as usize + client_id) % mix.len()];
-                            let body = elect_body(
-                                &item.spec,
-                                cfg.policy,
-                                &cfg.engine,
-                                &cfg.protocol,
-                                seed_base + n,
-                            );
+                            let body =
+                                elect_body(&item.spec, cfg.policy, &cfg.protocol, seed_base + n);
                             n += 1;
                             let solvable = item.solvable;
                             client.request("POST", "/v1/elect", &body).map(|resp| {
@@ -1112,7 +1082,6 @@ pub fn chaos_run(cfg: &LoadConfig, exe: &std::path::Path) -> Result<ChaosReport,
         let body = elect_body(
             &item.spec,
             cfg.policy,
-            &cfg.engine,
             &cfg.protocol,
             0xF1A1_0000 + i as u64,
         );
@@ -1169,16 +1138,11 @@ mod tests {
 
     #[test]
     fn protocol_field_is_omitted_for_the_default() {
-        let body = elect_body("cycle:6@0,3", Policy::Random, "gated", "elect", 7);
+        let body = elect_body("cycle:6@0,3", Policy::Random, "elect", 7);
         assert!(!body.contains("protocol"), "{body}");
-        let body = elect_body("cycle:6@0,3", Policy::Random, "gated", "dp-anon", 7);
+        let body = elect_body("cycle:6@0,3", Policy::Random, "dp-anon", 7);
         assert!(body.contains("\"protocol\": \"dp-anon\""), "{body}");
-        let batch = batch_body(
-            &[("cycle:6@0,3".into(), 1)],
-            Policy::Random,
-            "sim",
-            "agent-elect",
-        );
+        let batch = batch_body(&[("cycle:6@0,3".into(), 1)], Policy::Random, "agent-elect");
         assert!(batch.contains("\"protocol\": \"agent-elect\""), "{batch}");
     }
 
@@ -1204,7 +1168,6 @@ mod tests {
         let report = LoadReport {
             clients: 4,
             mix: default_mix(),
-            engine: "sim".into(),
             batch: 16,
             shards: 4,
             cold: phase(100),
@@ -1251,7 +1214,6 @@ mod tests {
         let body = batch_body(
             &[("cycle:6@0,3".into(), 7), ("cycle:12@0,1,3".into(), 8)],
             Policy::Random,
-            "sim",
             "elect",
         );
         let obj = envelope::check_document(&body, envelope::REQUEST).unwrap();
@@ -1259,7 +1221,10 @@ mod tests {
         assert_eq!(items.len(), 2);
         let first = items[0].as_object().unwrap();
         assert_eq!(get(first, "spec").unwrap().as_str(), Some("cycle:6@0,3"));
-        assert_eq!(get(first, "engine").unwrap().as_str(), Some("sim"));
+        assert!(
+            get(first, "engine").is_none(),
+            "the one engine needs no field"
+        );
         assert_eq!(get(first, "seed").unwrap().as_num(), Some(7.0));
     }
 

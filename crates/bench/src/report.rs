@@ -1,9 +1,9 @@
-//! Phase-resolved audit reports over the span-instrumented engines.
+//! Phase-resolved audit reports over the span-instrumented engine.
 //!
 //! `qelectctl audit` (and the CI job behind it) drives this module: run
 //! an audit-capable registry protocol (default: Protocol ELECT; any
 //! entry whose `caps.audit_schema` is set — others are rejected with a
-//! typed error) on a set of named instances across seeds and engines,
+//! typed error) on a set of named instances across seeds,
 //! fold every run's [`PhaseSpan`]s (via `Metrics::phase_breakdown`) into
 //! per-phase move/access/wait totals with power-of-two work histograms
 //! and per-phase canonical-form cache deltas, fit the constant `c` of
@@ -84,10 +84,8 @@ pub struct AuditConfig {
     pub protocol: qelect_agentsim::ProtocolId,
     /// The instances to audit.
     pub instances: Vec<AuditInstance>,
-    /// Run seeds; every (instance, seed, engine) triple is one trial.
+    /// Run seeds; every (instance, seed) pair is one trial.
     pub seeds: Vec<u64>,
-    /// The engines to drive.
-    pub engines: Vec<Engine>,
 }
 
 impl Default for AuditConfig {
@@ -96,7 +94,6 @@ impl Default for AuditConfig {
             protocol: qelect::registry::default_entry().id,
             instances: Vec::new(),
             seeds: vec![0, 1, 2],
-            engines: Engine::ALL.to_vec(),
         }
     }
 }
@@ -165,7 +162,7 @@ pub struct PhaseAgg {
     pub cache: Option<CacheStats>,
 }
 
-/// The audit result of one instance across all seeds and engines.
+/// The audit result of one instance across all seeds.
 #[derive(Debug, Clone)]
 pub struct InstanceAudit {
     /// Instance key (`family-spec@agents`).
@@ -178,7 +175,7 @@ pub struct InstanceAudit {
     pub edges: usize,
     /// Agent count `r`.
     pub r: usize,
-    /// Trials folded in (seeds × engines).
+    /// Trials folded in (one per seed).
     pub trials: usize,
     /// Per-phase aggregates, ordered by first appearance.
     pub phases: Vec<PhaseAgg>,
@@ -213,32 +210,26 @@ pub struct AuditReport {
     pub families: Vec<FamilyFit>,
     /// The seeds driven.
     pub seeds: Vec<u64>,
-    /// The engines driven.
-    pub engines: Vec<Engine>,
 }
 
 fn run_one(
     entry: &'static qelect_agentsim::ProtocolEntry,
     bc: &Bicolored,
     seed: u64,
-    engine: Engine,
 ) -> Result<Metrics, String> {
     let election = entry
-        .run(bc, &RunConfig::new(seed).engine(engine))
-        .map_err(|e| format!("{} {} run failed: {e}", entry.id.name(), engine.name()))?;
+        .run(bc, &RunConfig::new(seed))
+        .map_err(|e| format!("{} run failed: {e}", entry.id.name()))?;
     Ok(election.report.metrics)
 }
 
-/// Run the audit: every instance × seed × engine, folded per instance.
+/// Run the audit: every instance × seed, folded per instance.
 ///
 /// Errors on invalid placements (out-of-range or colliding home-bases)
-/// and on an empty seed or engine list.
+/// and on an empty seed list.
 pub fn run_audit(cfg: &AuditConfig) -> Result<AuditReport, String> {
     if cfg.seeds.is_empty() {
         return Err("audit needs at least one seed".into());
-    }
-    if cfg.engines.is_empty() {
-        return Err("audit needs at least one engine".into());
     }
     let entry = qelect::registry::get(cfg.protocol);
     if entry.caps.audit_schema.is_none() {
@@ -257,37 +248,35 @@ pub fn run_audit(cfg: &AuditConfig) -> Result<AuditReport, String> {
         let mut fitted_c = 0.0f64;
         let mut trials = 0usize;
         for &seed in &cfg.seeds {
-            for &engine in &cfg.engines {
-                let metrics = run_one(entry, &bc, seed, engine)?;
-                trials += 1;
-                total.0 += metrics.total_moves();
-                total.1 += metrics.total_accesses();
-                total.2 += metrics.total_waits();
-                fitted_c = fitted_c.max(metrics.total_work() as f64 / denom);
-                for r in metrics.phase_breakdown() {
-                    let agg = match phases.iter_mut().find(|p| p.phase == r.phase) {
-                        Some(agg) => agg,
-                        None => {
-                            phases.push(PhaseAgg {
-                                phase: r.phase.clone(),
-                                spans: 0,
-                                moves: 0,
-                                accesses: 0,
-                                waits: 0,
-                                hist: WorkHistogram::default(),
-                                cache: None,
-                            });
-                            phases.last_mut().expect("just pushed")
-                        }
-                    };
-                    agg.spans += r.spans;
-                    agg.moves += r.moves;
-                    agg.accesses += r.accesses;
-                    agg.waits += r.waits;
-                    agg.hist.add(r.work());
-                    if let Some(delta) = r.cache {
-                        agg.cache = Some(agg.cache.unwrap_or_default().merge(&delta));
+            let metrics = run_one(entry, &bc, seed)?;
+            trials += 1;
+            total.0 += metrics.total_moves();
+            total.1 += metrics.total_accesses();
+            total.2 += metrics.total_waits();
+            fitted_c = fitted_c.max(metrics.total_work() as f64 / denom);
+            for r in metrics.phase_breakdown() {
+                let agg = match phases.iter_mut().find(|p| p.phase == r.phase) {
+                    Some(agg) => agg,
+                    None => {
+                        phases.push(PhaseAgg {
+                            phase: r.phase.clone(),
+                            spans: 0,
+                            moves: 0,
+                            accesses: 0,
+                            waits: 0,
+                            hist: WorkHistogram::default(),
+                            cache: None,
+                        });
+                        phases.last_mut().expect("just pushed")
                     }
+                };
+                agg.spans += r.spans;
+                agg.moves += r.moves;
+                agg.accesses += r.accesses;
+                agg.waits += r.waits;
+                agg.hist.add(r.work());
+                if let Some(delta) = r.cache {
+                    agg.cache = Some(agg.cache.unwrap_or_default().merge(&delta));
                 }
             }
         }
@@ -322,7 +311,6 @@ pub fn run_audit(cfg: &AuditConfig) -> Result<AuditReport, String> {
         instances,
         families,
         seeds: cfg.seeds.clone(),
-        engines: cfg.engines.clone(),
     })
 }
 
@@ -389,12 +377,10 @@ impl AuditReport {
         ));
         let seeds: Vec<String> = self.seeds.iter().map(|v| v.to_string()).collect();
         s.push_str(&format!("  \"seeds\": [{}],\n", seeds.join(",")));
-        let engines: Vec<String> = self
-            .engines
-            .iter()
-            .map(|e| json::escape(e.name()))
-            .collect();
-        s.push_str(&format!("  \"engines\": [{}],\n", engines.join(",")));
+        s.push_str(&format!(
+            "  \"engines\": [{}],\n",
+            json::escape(Engine::Sim.name())
+        ));
         s.push_str("  \"instances\": [\n");
         for (i, inst) in self.instances.iter().enumerate() {
             s.push_str("    {\n");
@@ -565,7 +551,6 @@ mod tests {
                 agents: vec![0, 3],
             }],
             seeds: vec![0],
-            engines: vec![Engine::Gated],
             ..AuditConfig::default()
         }
     }
@@ -698,7 +683,6 @@ mod tests {
                 n_hi: 7,
                 p: 0.2,
             }],
-            engine: Engine::Gated,
         };
         let report = crate::sweep::run_sweep(&cfg);
         let doc = json::parse(&sweep_to_json(&report)).unwrap();

@@ -470,7 +470,6 @@ struct ElectRequest {
     /// The registry entry the optional `"protocol"` field resolved to
     /// (the default entry when the field is absent).
     protocol: &'static ProtocolEntry,
-    engine: Engine,
     policy: Policy,
     seed: u64,
     faults: FaultPlan,
@@ -509,20 +508,11 @@ impl ElectRequest {
         };
         // `engine` and `policy` are optional, but a present value must
         // be a known name: a mistyped one is a bad request, never the
-        // default.
-        let engine = match get(obj, "engine") {
-            None => Engine::Gated,
-            Some(v) => {
-                let name = v.as_str().ok_or("\"engine\" must be a string")?;
-                Engine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
-            }
-        };
-        if !protocol.supports(engine) {
-            return Err(format!(
-                "protocol {:?} does not support engine {:?}",
-                protocol.id.name(),
-                engine.name()
-            ));
+        // default. The one engine is `sim`, so a valid `engine` field
+        // changes nothing.
+        if let Some(v) = get(obj, "engine") {
+            let name = v.as_str().ok_or("\"engine\" must be a string")?;
+            Engine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?;
         }
         let policy = match get(obj, "policy") {
             None => Policy::Random,
@@ -557,7 +547,6 @@ impl ElectRequest {
         Ok(ElectRequest {
             spec,
             protocol,
-            engine,
             policy,
             seed,
             faults,
@@ -577,9 +566,8 @@ impl ElectRequest {
     /// are the same execution).
     fn key(&self) -> String {
         let mut key = format!(
-            "{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|{}",
             self.spec.key(),
-            self.engine.name(),
             policy_name(self.policy),
             self.seed,
             self.sleep_ms,
@@ -594,7 +582,6 @@ impl ElectRequest {
 
     fn run_config(&self) -> RunConfig {
         RunConfig::new(self.seed)
-            .engine(self.engine)
             .policy(self.policy)
             .faults(self.faults.clone())
     }
@@ -783,7 +770,7 @@ impl Daemon {
         }
         s.push_str(&format!(
             "  \"engine\": {}, \"policy\": {}, \"seed\": {},\n",
-            escape(req.engine.name()),
+            escape(Engine::Sim.name()),
             escape(policy_name(req.policy)),
             req.seed
         ));
@@ -819,8 +806,8 @@ impl Daemon {
     /// One batch item's result object (single line). The deterministic
     /// fields (spec, engine, policy, seed, outcome, leader, solvable,
     /// gcd, moves, accesses, steps) carry exactly the values a
-    /// single-request response would: under the gated and sim engines a
-    /// run is a pure function of `(instance, config)`, so the
+    /// single-request response would: a run is a pure function of
+    /// `(instance, config)`, so the
     /// batch-vs-sequential differential pins this projection
     /// byte-for-byte. Timing fields (`queue_us`, `run_us`) are
     /// measured, not deterministic.
@@ -841,7 +828,7 @@ impl Daemon {
         }
         s.push_str(&format!(
             "\"engine\": {}, \"policy\": {}, \"seed\": {}, ",
-            escape(req.engine.name()),
+            escape(Engine::Sim.name()),
             escape(policy_name(req.policy)),
             req.seed
         ));
@@ -1387,7 +1374,7 @@ mod tests {
     #[test]
     fn request_parsing_validates() {
         let ok = r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 7,
-                      "engine": "gated", "policy": "lockstep"}"#;
+                      "engine": "sim", "policy": "lockstep"}"#;
         let req = ElectRequest::parse(ok, false).unwrap();
         assert_eq!(req.seed, 7);
         assert_eq!(req.policy, Policy::Lockstep);
@@ -1395,7 +1382,6 @@ mod tests {
         // Defaults.
         let min = r#"{"schema": "qelect-request/1", "spec": "petersen@0,1"}"#;
         let req = ElectRequest::parse(min, false).unwrap();
-        assert_eq!(req.engine, Engine::Gated);
         assert_eq!(req.seed, 0);
         assert!(req.faults.is_empty());
         // Rejections.
@@ -1406,6 +1392,7 @@ mod tests {
             r#"{"schema": "qelect-request/1", "spec": "nosuch:9"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,0"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "engine": "warp"}"#,
+            r#"{"schema": "qelect-request/1", "spec": "cycle:9", "engine": "gated"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "policy": "warp"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "seed": -1}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "faults": {"x": 1}}"#,
@@ -1444,6 +1431,48 @@ mod tests {
             parse_err(r#", "engine": "free""#),
             r#"unknown engine "free""#
         );
+        assert_eq!(
+            parse_err(r#", "engine": "gated""#),
+            r#"unknown engine "gated""#
+        );
+    }
+
+    #[test]
+    fn the_engine_field_is_optional_and_only_names_sim() {
+        let server = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            io_threads: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let post = |fields: &str| {
+            let body = format!(
+                r#"{{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 4{fields}}}"#
+            );
+            crate::load::one_shot(server.addr(), "POST", "/v1/elect", &body).unwrap()
+        };
+        // Drop the measured timings' line; the rest is deterministic.
+        let stable =
+            |body: &str| -> String { body.lines().filter(|l| !l.contains("queue_us")).collect() };
+        let absent = post("");
+        let sim = post(r#", "engine": "sim""#);
+        assert_eq!(absent.code, 200, "{}", absent.body);
+        assert_eq!(sim.code, 200, "{}", sim.body);
+        assert_eq!(stable(&absent.body), stable(&sim.body));
+        assert!(
+            absent.body.contains(r#""engine": "sim""#),
+            "{}",
+            absent.body
+        );
+        let gated = post(r#", "engine": "gated""#);
+        assert_eq!(gated.code, 400, "{}", gated.body);
+        assert!(
+            gated.body.contains(r#"unknown engine \"gated\""#),
+            "{}",
+            gated.body
+        );
+        server.shutdown();
     }
 
     #[test]
@@ -1468,11 +1497,17 @@ mod tests {
         for other in [
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 2}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,2", "seed": 1}"#,
-            r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "sim"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "policy": "lockstep"}"#,
         ] {
             assert_ne!(base, mk(other), "{other}");
         }
+        // Naming the one engine is the same execution as omitting it.
+        assert_eq!(
+            base,
+            mk(
+                r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "sim"}"#
+            )
+        );
     }
 
     #[test]
@@ -1490,8 +1525,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.protocol.id.name(), "elect");
-        // Rejections: unknown names, unservable protocols, unsupported
-        // engine combinations, non-string values.
+        // Rejections: unknown names, unservable protocols, non-string
+        // values.
         for bad in [
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": "warp"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": "view"}"#,

@@ -1,32 +1,25 @@
 //! The engine-throughput benchmark behind `qelectctl simbench` and the
 //! committed `BENCH_sim.json` record.
 //!
-//! One workload, two engines: every instance in the config is run as a
-//! batch of crash-free ELECT elections (seeds × repeats) on the gated
-//! thread engine and again on the single-threaded discrete-event sim
-//! engine, in [`PASSES`] timed passes per engine. The
-//! report records each engine's elections/second (median, min and max
-//! over the passes), the sim-over-gated speedup of the medians, the sim
-//! engine's wall time per scheduler grant, and the host it ran on.
-//! Because the engines are byte-identical by
-//! contract (DESIGN §12), the benchmark doubles as a differential
-//! check: every (instance, seed) pair must produce the same leader and
-//! the same verdict against the gcd oracle on both engines, and any
-//! disagreement fails the whole report.
+//! Every instance in the config is run as a batch of crash-free ELECT
+//! elections (seeds × repeats) on the discrete-event sim engine, in
+//! [`PASSES`] timed passes. The report records the elections/second
+//! (median, min and max over the passes), the scheduler grants per
+//! election, the wall time per grant, and the host it ran on. The
+//! benchmark doubles as a check: every run must agree with the gcd
+//! oracle, and every pass must re-elect each seed's leader, or the whole
+//! report fails.
 //!
 //! Numbers are a record of the machine that produced them (like
-//! `BENCH_serve.json`), not a portable constant: the gated engine pays
-//! two OS context switches per scheduler step, so its throughput — and
-//! therefore the speedup — depends on the host's core count and
-//! scheduler latency. CI gates on the committed report's presence and
-//! schema, never on its timings.
+//! `BENCH_serve.json`), not a portable constant. CI gates on the
+//! committed report's presence and schema, never on its timings.
 
 use std::time::Instant;
 
 use qelect::prelude::*;
 use qelect::solvability::elect_succeeds;
 use qelect_agentsim::json;
-use qelect_agentsim::{Engine, RunConfig};
+use qelect_agentsim::RunConfig;
 use qelect_graph::Bicolored;
 
 use crate::measure::{median, Host};
@@ -37,11 +30,11 @@ use crate::{header, row};
 /// envelope declaration, [`json::envelope::SIMBENCH`]).
 pub const SIMBENCH_SCHEMA: &str = json::envelope::SIMBENCH;
 
-/// Timed passes per engine and instance (`benchgate` rejects a
-/// committed report with fewer).
+/// Timed passes per instance (`benchgate` rejects a committed report
+/// with fewer).
 pub const PASSES: usize = 5;
 
-/// Configuration of one engine-throughput comparison.
+/// Configuration of one engine-throughput measurement.
 #[derive(Debug, Clone)]
 pub struct SimBenchConfig {
     /// The instances to time (the shared workload family).
@@ -62,8 +55,8 @@ impl Default for SimBenchConfig {
     }
 }
 
-/// The spread of one engine's throughput over the timed passes,
-/// elections per second.
+/// The spread of the throughput over the timed passes, elections per
+/// second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     /// Median pass.
@@ -85,7 +78,7 @@ impl Throughput {
     }
 }
 
-/// One instance's timings across both engines.
+/// One instance's timings.
 #[derive(Debug, Clone)]
 pub struct InstanceSimBench {
     /// Instance key (`family-spec@agents`).
@@ -100,29 +93,18 @@ pub struct InstanceSimBench {
     pub elections: usize,
     /// Scheduler grants per election, averaged over the seeds.
     pub grants: f64,
-    /// Gated-engine throughput over the passes.
-    pub gated_eps: Throughput,
-    /// Sim-engine throughput over the passes.
-    pub sim_eps: Throughput,
-    /// Every (seed, engine) pair agreed with the oracle, and gated and
-    /// sim produced the same leader per seed.
+    /// Throughput over the passes.
+    pub eps: Throughput,
+    /// Every run agreed with the oracle and re-elected its seed's
+    /// leader.
     pub agree: bool,
 }
 
 impl InstanceSimBench {
-    /// Sim-over-gated ratio of the median throughputs.
-    pub fn speedup(&self) -> f64 {
-        if self.gated_eps.median > 0.0 {
-            self.sim_eps.median / self.gated_eps.median
-        } else {
-            0.0
-        }
-    }
-
-    /// Sim-engine wall time per scheduler grant at the median pass, ns.
-    pub fn sim_ns_per_grant(&self) -> f64 {
-        if self.sim_eps.median > 0.0 && self.grants > 0.0 {
-            1e9 / (self.sim_eps.median * self.grants)
+    /// Wall time per scheduler grant at the median pass, ns.
+    pub fn ns_per_grant(&self) -> f64 {
+        if self.eps.median > 0.0 && self.grants > 0.0 {
+            1e9 / (self.eps.median * self.grants)
         } else {
             0.0
         }
@@ -143,30 +125,9 @@ pub struct SimBenchReport {
 }
 
 impl SimBenchReport {
-    /// Whether every instance passed the built-in differential check.
+    /// Whether every instance passed the built-in oracle check.
     pub fn passed(&self) -> bool {
         !self.instances.is_empty() && self.instances.iter().all(|i| i.agree)
-    }
-
-    /// The largest per-instance speedup observed.
-    pub fn max_speedup(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(InstanceSimBench::speedup)
-            .fold(0.0, f64::max)
-    }
-
-    /// Geometric-mean speedup across instances (0.0 when empty).
-    pub fn geomean_speedup(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self
-            .instances
-            .iter()
-            .map(|i| i.speedup().max(1e-12).ln())
-            .sum();
-        (log_sum / self.instances.len() as f64).exp()
     }
 
     /// Render the human-facing table.
@@ -177,10 +138,9 @@ impl SimBenchReport {
             "n",
             "r",
             "solvable",
-            "gated el/s",
-            "sim el/s [min, max]",
+            "grants",
+            "el/s [min, max]",
             "ns/grant",
-            "speedup",
             "agree",
         ]));
         out.push('\n');
@@ -190,28 +150,22 @@ impl SimBenchReport {
                 i.n.to_string(),
                 i.r.to_string(),
                 i.solvable.to_string(),
-                format!("{:.1}", i.gated_eps.median),
-                format!(
-                    "{:.1} [{:.1}, {:.1}]",
-                    i.sim_eps.median, i.sim_eps.min, i.sim_eps.max
-                ),
-                format!("{:.0}", i.sim_ns_per_grant()),
-                format!("{:.1}x", i.speedup()),
+                format!("{:.1}", i.grants),
+                format!("{:.1} [{:.1}, {:.1}]", i.eps.median, i.eps.min, i.eps.max),
+                format!("{:.0}", i.ns_per_grant()),
                 i.agree.to_string(),
             ]));
             out.push('\n');
         }
         out.push_str(&format!(
-            "speedup: geomean {:.1}x, max {:.1}x ({} elections/pass, medians of {} passes)\n",
-            self.geomean_speedup(),
-            self.max_speedup(),
+            "{} elections/pass, medians of {} passes\n",
             self.seeds.len() * self.repeats,
             PASSES,
         ));
         out
     }
 
-    /// Serialize as the schema-versioned `qelect-simbench/1` document.
+    /// Serialize as the schema-versioned `qelect-simbench/2` document.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
@@ -232,23 +186,18 @@ impl SimBenchReport {
             s.push_str(&format!(
                 "    {{\"key\": {}, \"n\": {}, \"r\": {}, \"solvable\": {}, \
                  \"elections\": {}, \"grants\": {:.1}, \
-                 \"gated_eps\": {:.2}, \"gated_eps_min\": {:.2}, \"gated_eps_max\": {:.2}, \
-                 \"sim_eps\": {:.2}, \"sim_eps_min\": {:.2}, \"sim_eps_max\": {:.2}, \
-                 \"sim_ns_per_grant\": {:.1}, \"speedup\": {:.2}, \"agree\": {}}}{}\n",
+                 \"eps\": {:.2}, \"eps_min\": {:.2}, \"eps_max\": {:.2}, \
+                 \"ns_per_grant\": {:.1}, \"agree\": {}}}{}\n",
                 json::escape(&i.key),
                 i.n,
                 i.r,
                 i.solvable,
                 i.elections,
                 i.grants,
-                i.gated_eps.median,
-                i.gated_eps.min,
-                i.gated_eps.max,
-                i.sim_eps.median,
-                i.sim_eps.min,
-                i.sim_eps.max,
-                i.sim_ns_per_grant(),
-                i.speedup(),
+                i.eps.median,
+                i.eps.min,
+                i.eps.max,
+                i.ns_per_grant(),
                 i.agree,
                 if idx + 1 < self.instances.len() {
                     ","
@@ -258,18 +207,13 @@ impl SimBenchReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"geomean_speedup\": {:.2},\n",
-            self.geomean_speedup()
-        ));
-        s.push_str(&format!("  \"max_speedup\": {:.2},\n", self.max_speedup()));
         s.push_str(&format!("  \"passed\": {}\n", self.passed()));
         s.push_str("}\n");
         s
     }
 }
 
-/// One engine's timed passes over one instance.
+/// The timed passes over one instance.
 struct Timed {
     /// Elections per second, one rate per pass.
     rates: Vec<f64>,
@@ -282,9 +226,8 @@ struct Timed {
     agree: bool,
 }
 
-/// [`PASSES`] timed passes of `seeds × repeats` crash-free elections
-/// on `engine`.
-fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, engine: Engine, solvable: bool) -> Timed {
+/// [`PASSES`] timed passes of `seeds × repeats` crash-free elections.
+fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, solvable: bool) -> Timed {
     let mut timed = Timed {
         rates: Vec::with_capacity(PASSES),
         leaders: vec![None; cfg.seeds.len()],
@@ -296,7 +239,7 @@ fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, engine: Engine, solvable: 
         let t0 = Instant::now();
         for rep in 0..cfg.repeats {
             for (si, &seed) in cfg.seeds.iter().enumerate() {
-                let run = run_election(bc, &RunConfig::new(seed).engine(engine))
+                let run = run_election(bc, &RunConfig::new(seed))
                     .expect("crash-free deterministic runs cannot fail");
                 grants += run.report.metrics.steps;
                 let elected = run.clean_election();
@@ -306,7 +249,7 @@ fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, engine: Engine, solvable: 
                 if pass == 0 && rep == 0 {
                     timed.leaders[si] = run.report.leader;
                 } else if timed.leaders[si] != run.report.leader {
-                    // A deterministic engine re-running the same seed
+                    // The deterministic engine re-running the same seed
                     // must re-elect the same leader.
                     timed.agree = false;
                 }
@@ -321,23 +264,19 @@ fn timed_passes(bc: &Bicolored, cfg: &SimBenchConfig, engine: Engine, solvable: 
     timed
 }
 
-/// Run the engine-throughput comparison.
+/// Run the engine-throughput measurement.
 ///
-/// Per instance: a warm-up election per engine (populates the global
+/// Per instance: a warm-up election (populates the global
 /// canonical-form cache so no timed pass pays the one-off
-/// canonicalization), then [`PASSES`] timed passes per engine over the
-/// same (seeds × repeats) workload.
+/// canonicalization), then [`PASSES`] timed passes over the same
+/// (seeds × repeats) workload.
 pub fn run_simbench(cfg: &SimBenchConfig) -> SimBenchReport {
     let mut instances = Vec::new();
     for inst in &cfg.instances {
         let bc = Bicolored::new(inst.graph.clone(), &inst.agents).expect("valid instance");
         let solvable = elect_succeeds(&bc);
-        for engine in [Engine::Gated, Engine::Sim] {
-            let _ = run_election(&bc, &RunConfig::new(cfg.seeds[0]).engine(engine))
-                .expect("warm-up run cannot fail");
-        }
-        let gated = timed_passes(&bc, cfg, Engine::Gated, solvable);
-        let sim = timed_passes(&bc, cfg, Engine::Sim, solvable);
+        let _ = run_election(&bc, &RunConfig::new(cfg.seeds[0])).expect("warm-up run cannot fail");
+        let timed = timed_passes(&bc, cfg, solvable);
         let elections = cfg.seeds.len() * cfg.repeats;
         instances.push(InstanceSimBench {
             key: inst.key(),
@@ -345,13 +284,9 @@ pub fn run_simbench(cfg: &SimBenchConfig) -> SimBenchReport {
             r: bc.r(),
             solvable,
             elections,
-            grants: sim.grants as f64 / elections as f64,
-            gated_eps: Throughput::of(&gated.rates),
-            sim_eps: Throughput::of(&sim.rates),
-            agree: gated.agree
-                && sim.agree
-                && gated.leaders == sim.leaders
-                && gated.grants == sim.grants,
+            grants: timed.grants as f64 / elections as f64,
+            eps: Throughput::of(&timed.rates),
+            agree: timed.agree,
         });
     }
     SimBenchReport {
@@ -387,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn simbench_agrees_and_reports_both_engines() {
+    fn simbench_agrees_and_reports_the_spread() {
         let report = run_simbench(&cfg());
         assert!(report.passed(), "{:#?}", report.instances);
         assert_eq!(report.instances.len(), 2);
@@ -399,16 +334,14 @@ mod tests {
         );
         for i in &report.instances {
             assert_eq!(i.elections, 4);
-            assert!(i.grants > 0.0 && i.sim_ns_per_grant() > 0.0, "{}", i.key);
-            for eps in [i.gated_eps, i.sim_eps] {
-                assert!(
-                    0.0 < eps.min && eps.min <= eps.median && eps.median <= eps.max,
-                    "{}: {eps:?}",
-                    i.key
-                );
-            }
+            assert!(i.grants > 0.0 && i.ns_per_grant() > 0.0, "{}", i.key);
+            let eps = i.eps;
+            assert!(
+                0.0 < eps.min && eps.min <= eps.median && eps.median <= eps.max,
+                "{}: {eps:?}",
+                i.key
+            );
         }
-        assert!(report.max_speedup() >= report.geomean_speedup());
     }
 
     #[test]
@@ -428,10 +361,6 @@ mod tests {
             .and_then(json::Value::as_bool)
             .unwrap();
         assert!(passed);
-        let geo = json::get(&fields, "geomean_speedup")
-            .and_then(json::Value::as_num)
-            .unwrap();
-        assert!(geo > 0.0);
         assert_eq!(
             json::get(&fields, "passes").and_then(json::Value::as_num),
             Some(PASSES as f64)
@@ -442,7 +371,7 @@ mod tests {
             .and_then(json::Value::as_num);
         assert!(cores.is_some_and(|c| c >= 1.0));
         let first = items[0].as_object().unwrap();
-        for field in ["sim_eps", "sim_eps_min", "sim_eps_max", "sim_ns_per_grant"] {
+        for field in ["grants", "eps", "eps_min", "eps_max", "ns_per_grant"] {
             assert!(
                 json::get(first, field)
                     .and_then(json::Value::as_num)
@@ -461,6 +390,6 @@ mod tests {
         });
         let text = report.render();
         assert_eq!(text.matches("cycle:6@").count(), 2, "{text}");
-        assert!(text.contains("speedup: geomean"), "{text}");
+        assert!(text.contains("medians of 5 passes"), "{text}");
     }
 }

@@ -94,10 +94,6 @@ pub struct SweepConfig {
     pub repeats: usize,
     /// The size/density buckets.
     pub buckets: Vec<SweepBucket>,
-    /// The engine every trial drives ([`Engine::Gated`] or
-    /// [`Engine::Sim`]; both are deterministic, so trial purity holds
-    /// either way).
-    pub engine: Engine,
 }
 
 impl Default for SweepConfig {
@@ -108,7 +104,6 @@ impl Default for SweepConfig {
             seed0: 0,
             repeats: 2,
             buckets: default_buckets(),
-            engine: Engine::Gated,
         }
     }
 }
@@ -243,7 +238,6 @@ pub fn run_trial(cfg: &SweepConfig, bi: usize, t: usize) -> TrialOutcome {
     let mut ratio_sum = 0.0f64;
     for rep in 0..cfg.repeats.max(1) {
         let run_cfg = RunConfig::new(seed ^ ((rep as u64) << 32))
-            .engine(cfg.engine)
             .policy(SWEEP_POLICIES[(t + rep) % SWEEP_POLICIES.len()]);
         let report = run_election(&bc, &run_cfg)
             .expect("crash-free deterministic runs cannot fail")
@@ -433,7 +427,6 @@ mod tests {
                 n_hi: 8,
                 p: 0.2,
             }],
-            engine: Engine::Gated,
         }
     }
 
@@ -464,26 +457,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         assert!(pool.finished());
-    }
-
-    #[test]
-    fn sim_sweep_reproduces_gated_sweep_statistics() {
-        // The sim engine is byte-identical to gated per run, so the
-        // whole sweep's statistics (including the float work ratios)
-        // must match exactly, not just approximately.
-        let gated = run_sweep(&small_cfg(2));
-        let sim = run_sweep(&SweepConfig {
-            engine: Engine::Sim,
-            ..small_cfg(2)
-        });
-        assert!(sim.all_agree(), "{}", sim.render());
-        assert_eq!(gated.buckets.len(), sim.buckets.len());
-        for (g, s) in gated.buckets.iter().zip(&sim.buckets) {
-            assert_eq!(g.valid, s.valid, "{}", g.label);
-            assert_eq!(g.agree, s.agree, "{}", g.label);
-            assert_eq!(g.solvable, s.solvable, "{}", g.label);
-            assert_eq!(g.avg_work_ratio, s.avg_work_ratio, "{}", g.label);
-        }
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! `None` (e.g. `cayley` on a non-Cayley family, where the protocol's
 //! own criterion does not apply) is recorded but not gated.
 //!
-//! The preferred engine comes from the config; a protocol whose
-//! capability flags do not include it falls back to the first engine it
-//! supports, and the engine actually used is recorded per cell.
+//! Every cell runs on the sim engine and records its name.
 
 use qelect::registry as protocol_registry;
 use qelect_agentsim::json;
@@ -45,9 +43,6 @@ pub struct ZooConfig {
     pub protocols: Vec<ProtocolId>,
     /// Run seed (colors + port scrambles), shared by every cell.
     pub seed: u64,
-    /// Preferred engine; cells whose protocol does not support it fall
-    /// back to the first engine the protocol's entry lists.
-    pub engine: Engine,
 }
 
 impl Default for ZooConfig {
@@ -64,7 +59,6 @@ impl Default for ZooConfig {
             instances: Vec::new(),
             protocols,
             seed: 0,
-            engine: Engine::Gated,
         }
     }
 }
@@ -76,7 +70,7 @@ pub struct ZooCell {
     pub instance: String,
     /// Protocol wire name.
     pub protocol: &'static str,
-    /// Engine actually used (after the capability fallback).
+    /// The engine the cell ran on.
     pub engine: &'static str,
     /// Whether the run elected a unique leader.
     pub elected: bool,
@@ -204,21 +198,10 @@ impl ZooReport {
     }
 }
 
-/// The engine a cell actually runs on: the preferred engine when the
-/// entry supports it, else the first engine the entry lists.
-fn cell_engine(entry: &ProtocolEntry, preferred: Engine) -> Engine {
-    if entry.supports(preferred) {
-        preferred
-    } else {
-        entry.caps.engines[0]
-    }
-}
-
 /// Run one (instance, protocol) cell.
 fn run_cell(bc: &Bicolored, key: &str, entry: &'static ProtocolEntry, cfg: &ZooConfig) -> ZooCell {
-    let engine = cell_engine(entry, cfg.engine);
     let expected = (entry.oracle)(bc);
-    match entry.run(bc, &RunConfig::new(cfg.seed).engine(engine)) {
+    match entry.run(bc, &RunConfig::new(cfg.seed)) {
         Ok(run) => {
             let elected = run.clean_election();
             let ok = match expected {
@@ -229,7 +212,7 @@ fn run_cell(bc: &Bicolored, key: &str, entry: &'static ProtocolEntry, cfg: &ZooC
             ZooCell {
                 instance: key.to_string(),
                 protocol: entry.id.name(),
-                engine: engine.name(),
+                engine: run.engine,
                 elected,
                 leader: run.report.leader,
                 expected,
@@ -240,7 +223,7 @@ fn run_cell(bc: &Bicolored, key: &str, entry: &'static ProtocolEntry, cfg: &ZooC
         Err(e) => ZooCell {
             instance: key.to_string(),
             protocol: entry.id.name(),
-            engine: engine.name(),
+            engine: Engine::Sim.name(),
             elected: false,
             leader: None,
             expected,
@@ -321,26 +304,6 @@ mod tests {
         assert!(verdict("quantitative", "cycle:6@0,3"));
         assert!(verdict("elect", "cycle:9@0,1,3"));
         assert!(verdict("dp-anon", "cycle:9@0,1,3"));
-    }
-
-    #[test]
-    fn zoo_falls_back_to_a_supported_engine() {
-        let cfg = ZooConfig {
-            instances: vec![instance("cycle", 6, &[0, 2, 3])],
-            engine: Engine::Sim,
-            ..ZooConfig::default()
-        };
-        let report = run_zoo(&cfg);
-        assert!(report.passed(), "{}", report.render());
-        for c in &report.cells {
-            // The gated-only quantitative driver falls back; async
-            // protocols honor the preferred sim engine.
-            if c.protocol == "quantitative" {
-                assert_eq!(c.engine, "gated");
-            } else {
-                assert_eq!(c.engine, "sim");
-            }
-        }
     }
 
     #[test]

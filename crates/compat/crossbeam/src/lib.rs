@@ -1,10 +1,10 @@
 //! Offline compatibility subset of `crossbeam`.
 //!
 //! Only [`channel::unbounded`] and the `Sender`/`Receiver` pair are
-//! needed by the workspace (the gated engine's request/grant gates);
-//! they are thin re-exports of `std::sync::mpsc`, which has the same
-//! unbounded MPSC semantics for this usage (single consumer, cloneable
-//! producers, disconnect-aware send/recv).
+//! needed by the workspace (the explore swarm's and the sweep's result
+//! channels); they are thin re-exports of `std::sync::mpsc`, which has
+//! the same unbounded MPSC semantics for this usage (single consumer,
+//! cloneable producers, disconnect-aware send/recv).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

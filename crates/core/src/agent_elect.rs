@@ -27,13 +27,7 @@
 //! decision is a pure function of the redrawn map.
 
 use crate::mapdraw::map_drawing_async;
-use qelect_agentsim::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
-
-/// Blocking adapter over [`agent_elect_async`] (kept as a plain `fn` so
-/// it coerces into a `GatedAgent` closure).
-pub fn agent_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(agent_elect_async(&mut SyncCtx(ctx)))
-}
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync};
 
 /// The labeled-agent election, written once over [`MobileCtxAsync`]:
 /// draw the map, compare every home-base color's nonce, and let the
@@ -56,7 +50,7 @@ pub async fn agent_elect_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOu
     })
 }
 
-/// [`agent_elect`] as a [`Protocol`](qelect_agentsim::Protocol) for the
+/// [`agent_elect_async`] as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door (wire name `agent-elect` in the registry).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AgentElectProtocol;
@@ -70,16 +64,11 @@ impl qelect_agentsim::Protocol for AgentElectProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::{run, Engine, RunConfig};
+    use qelect_agentsim::{run, RunConfig};
     use qelect_graph::{families, Bicolored};
 
-    fn run_on(bc: &Bicolored, engine: Engine, seed: u64) -> qelect_agentsim::ElectionRun {
-        run(
-            bc,
-            &RunConfig::new(seed).engine(engine),
-            &AgentElectProtocol,
-        )
-        .expect("run failed")
+    fn run_on(bc: &Bicolored, seed: u64) -> qelect_agentsim::ElectionRun {
+        run(bc, &RunConfig::new(seed), &AgentElectProtocol).expect("run failed")
     }
 
     #[test]
@@ -88,15 +77,8 @@ mod tests {
         // the anonymous protocols — comparable identifiers cut right
         // through the symmetry.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        for engine in Engine::ALL {
-            let run = run_on(&bc, engine, 13);
-            assert!(
-                run.clean_election(),
-                "{}: {:?}",
-                engine.name(),
-                run.report.outcomes
-            );
-        }
+        let run = run_on(&bc, 13);
+        assert!(run.clean_election(), "{:?}", run.report.outcomes);
     }
 
     #[test]
@@ -110,7 +92,7 @@ mod tests {
         ];
         for bc in &cases {
             for seed in [0u64, 5, 99] {
-                let run = run_on(bc, Engine::Sim, seed);
+                let run = run_on(bc, seed);
                 assert!(
                     run.clean_election(),
                     "seed {seed}: {:?}",
@@ -123,22 +105,11 @@ mod tests {
     #[test]
     fn the_maximum_nonce_wins() {
         let bc = Bicolored::new(families::cycle(9).unwrap(), &[0, 1, 3]).unwrap();
-        let run = run_on(&bc, Engine::Gated, 21);
+        let run = run_on(&bc, 21);
         let leader = run.report.leader.expect("unique leader");
         let nonces: Vec<u64> = run.report.colors.iter().map(|c| c.nonce()).collect();
         let max = *nonces.iter().max().unwrap();
         assert_eq!(nonces[leader], max, "leader carries the maximum nonce");
-    }
-
-    #[test]
-    fn engines_agree_on_the_leader() {
-        let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        for seed in [1u64, 2, 3] {
-            let gated = run_on(&bc, Engine::Gated, seed).report;
-            let sim = run_on(&bc, Engine::Sim, seed).report;
-            assert_eq!(gated.outcomes, sim.outcomes, "seed {seed}");
-            assert_eq!(gated.leader, sim.leader, "seed {seed}");
-        }
     }
 
     #[test]
@@ -153,16 +124,9 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        for engine in [Engine::Gated, Engine::Sim] {
-            let cfg = RunConfig::new(9).engine(engine).faults(plan.clone());
-            let run = run(&bc, &cfg, &AgentElectProtocol).expect("run failed");
-            assert_eq!(run.faults.crashes, 1, "{}", engine.name());
-            assert!(
-                run.clean_election(),
-                "{}: {:?}",
-                engine.name(),
-                run.report.outcomes
-            );
-        }
+        let cfg = RunConfig::new(9).faults(plan);
+        let run = run(&bc, &cfg, &AgentElectProtocol).expect("run failed");
+        assert_eq!(run.faults.crashes, 1);
+        assert!(run.clean_election(), "{:?}", run.report.outcomes);
     }
 }

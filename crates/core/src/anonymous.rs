@@ -10,30 +10,20 @@
 //!   in the same state forever, so no protocol can elect.
 //!
 //! An agent behaves identically in both, so any protocol that elects on
-//! `G₁` misbehaves on `G₂`. [`ring_probe`] is such a protocol: it walks
+//! `G₁` misbehaves on `G₂`. [`ring_probe_async`] is such a protocol: it walks
 //! forward dropping its (shared-color) marks and concludes "I am alone
 //! on a ring of length L" when it first re-encounters a mark. On `C₃`
 //! alone that is correct; on `C₆` with a lockstep twin, each agent finds
 //! the *other's* indistinguishable mark after 3 hops and both declare
 //! themselves leader — the protocol violation the theory predicts.
 
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
+use qelect_agentsim::sim::{run_sim_faulty, RunConfig, RunReport};
 use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{
-    poll_now, AgentOutcome, ColorRegistry, Interrupt, MobileCtx, MobileCtxAsync, Sign, SignKind,
-    SyncCtx,
-};
+use qelect_agentsim::{AgentOutcome, ColorRegistry, Interrupt, MobileCtxAsync, Sign, SignKind};
 use qelect_graph::Bicolored;
 
 /// The mark an anonymous ring-prober drops.
 pub const PROBE_MARK: SignKind = SignKind::Custom(11);
-
-/// A plausible anonymous election protocol for rings (blocking adapter
-/// over [`ring_probe_async`]; kept as a plain `fn` so it still coerces
-/// into a [`GatedAgent`] closure).
-pub fn ring_probe<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(ring_probe_async(&mut SyncCtx(ctx)))
-}
 
 /// A plausible anonymous election protocol for rings: drop a mark, walk
 /// forward (never back through the entry port), and claim leadership
@@ -63,7 +53,7 @@ pub async fn ring_probe_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOut
     }
 }
 
-/// [`ring_probe`] as a [`Protocol`](qelect_agentsim::Protocol) for the
+/// [`ring_probe_async`] as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door — how the committed §1.3 counterexample
 /// trace is replayed on the simulator engine.
 #[derive(Debug, Clone, Copy, Default)]
@@ -83,10 +73,8 @@ impl qelect_agentsim::Protocol for RingProbeProtocol {
 /// runtime colors is immaterial — what matters is that the *marks* are
 /// indistinguishable, which `PROBE_MARK` tags achieve.
 pub fn run_ring_probe(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    run_sim_faulty(bc, cfg, &FaultPlan::none(), vec![RingProbeProtocol; bc.r()])
+        .expect("sim run failed")
 }
 
 /// The shared color anonymous demos use for illustration.

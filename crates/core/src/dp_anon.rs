@@ -34,7 +34,7 @@
 //! the redrawn map — so a restarted incarnation simply recomputes.
 
 use crate::mapdraw::map_drawing_async;
-use qelect_agentsim::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync};
 use qelect_graph::cache::ordered_classes_cached;
 use qelect_graph::Bicolored;
 
@@ -45,12 +45,6 @@ use qelect_graph::Bicolored;
 pub fn dp_solvable(bc: &Bicolored) -> bool {
     let oc = ordered_classes_cached(bc);
     oc.classes[..oc.ell].iter().any(|c| c.len() == 1)
-}
-
-/// Blocking adapter over [`dp_anon_async`] (kept as a plain `fn` so it
-/// coerces into a `GatedAgent` closure).
-pub fn dp_anon<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(dp_anon_async(&mut SyncCtx(ctx)))
 }
 
 /// The Dereniowski–Pelc decision, written once over [`MobileCtxAsync`]:
@@ -77,7 +71,7 @@ pub async fn dp_anon_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcom
     Ok(verdict)
 }
 
-/// [`dp_anon`] as a [`Protocol`](qelect_agentsim::Protocol) for the
+/// [`dp_anon_async`] as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door (wire name `dp-anon` in the registry).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpAnonProtocol;
@@ -92,15 +86,15 @@ impl qelect_agentsim::Protocol for DpAnonProtocol {
 mod tests {
     use super::*;
     use crate::solvability::elect_succeeds;
-    use qelect_agentsim::{run, Engine, RunConfig};
+    use qelect_agentsim::{run, RunConfig};
     use qelect_graph::families;
 
     fn instance(n: usize, homes: &[usize]) -> Bicolored {
         Bicolored::new(families::cycle(n).unwrap(), homes).unwrap()
     }
 
-    fn run_on(bc: &Bicolored, engine: Engine, seed: u64) -> qelect_agentsim::ElectionRun {
-        run(bc, &RunConfig::new(seed).engine(engine), &DpAnonProtocol).expect("run failed")
+    fn run_on(bc: &Bicolored, seed: u64) -> qelect_agentsim::ElectionRun {
+        run(bc, &RunConfig::new(seed), &DpAnonProtocol).expect("run failed")
     }
 
     #[test]
@@ -109,15 +103,8 @@ mod tests {
         // home-base class is a singleton.
         let bc = instance(9, &[0, 1, 3]);
         assert!(dp_solvable(&bc));
-        for engine in Engine::ALL {
-            let run = run_on(&bc, engine, 7);
-            assert!(
-                run.clean_election(),
-                "{}: {:?}",
-                engine.name(),
-                run.report.outcomes
-            );
-        }
+        let run = run_on(&bc, 7);
+        assert!(run.clean_election(), "{:?}", run.report.outcomes);
     }
 
     #[test]
@@ -126,7 +113,7 @@ mod tests {
         // fixes 3 — classes {3} and {0,6}, so the singleton elects.
         let bc = instance(12, &[0, 3, 6]);
         assert!(dp_solvable(&bc));
-        let run = run_on(&bc, Engine::Sim, 1);
+        let run = run_on(&bc, 1);
         assert!(run.clean_election(), "{:?}", run.report.outcomes);
         let leader = run.report.leader.expect("unique leader");
         assert_eq!(bc.homebases()[leader], 3, "the fixed home-base leads");
@@ -139,15 +126,8 @@ mod tests {
         // Unsolvable instead of misbehaving.
         let bc = instance(6, &[0, 3]);
         assert!(!dp_solvable(&bc));
-        for engine in [Engine::Gated, Engine::Sim] {
-            let run = run_on(&bc, engine, 3);
-            assert!(
-                run.unanimous_unsolvable(),
-                "{}: {:?}",
-                engine.name(),
-                run.report.outcomes
-            );
-        }
+        let run = run_on(&bc, 3);
+        assert!(run.unanimous_unsolvable(), "{:?}", run.report.outcomes);
     }
 
     #[test]
@@ -170,21 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_outcomes() {
-        for (n, homes) in [
-            (9usize, vec![0usize, 1, 3]),
-            (6, vec![0, 3]),
-            (12, vec![0, 3, 6]),
-        ] {
-            let bc = instance(n, &homes);
-            let gated = run_on(&bc, Engine::Gated, 11).report;
-            let sim = run_on(&bc, Engine::Sim, 11).report;
-            assert_eq!(gated.outcomes, sim.outcomes, "C{n} @ {homes:?}");
-            assert_eq!(gated.leader, sim.leader, "C{n} @ {homes:?}");
-        }
-    }
-
-    #[test]
     fn recovers_from_a_crash_fault() {
         use qelect_agentsim::{FaultAction, FaultEvent, FaultPlan};
         let bc = instance(9, &[0, 1, 3]);
@@ -196,16 +161,9 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        for engine in [Engine::Gated, Engine::Sim] {
-            let cfg = RunConfig::new(5).engine(engine).faults(plan.clone());
-            let run = run(&bc, &cfg, &DpAnonProtocol).expect("run failed");
-            assert_eq!(run.faults.crashes, 1, "{}", engine.name());
-            assert!(
-                run.clean_election(),
-                "{}: {:?}",
-                engine.name(),
-                run.report.outcomes
-            );
-        }
+        let cfg = RunConfig::new(5).faults(plan);
+        let run = run(&bc, &cfg, &DpAnonProtocol).expect("run failed");
+        assert_eq!(run.faults.crashes, 1);
+        assert!(run.clean_election(), "{:?}", run.report.outcomes);
     }
 }

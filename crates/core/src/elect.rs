@@ -9,7 +9,7 @@
 //! if |D| = 1 the unique agent in D is the leader, else election fails.
 //! ```
 //!
-//! Every agent executes [`elect`]; the control flow is driven by the
+//! Every agent executes [`elect_async`]; the control flow is driven by the
 //! deterministic [`Schedule`] derived from the
 //! canonically-ordered class sizes (Lemma 3.1), which all agents agree on
 //! because canonical forms are isomorphism-invariant. Class `C_{i+1}` is
@@ -25,20 +25,14 @@
 //! agents announce `Unsolvable` instead, as Theorem 3.1 prescribes.
 //!
 //! The protocol body is written once as an `async` function over
-//! [`MobileCtxAsync`] and runs unchanged on every engine: the
-//! single-threaded simulator polls it as a future, while the
-//! thread-per-agent engines drive it to completion in one poll through
-//! the blocking [`SyncCtx`] adapter.
+//! [`MobileCtxAsync`], which the single-threaded simulator polls as a
+//! future.
 
 use crate::map::AgentMap;
 use crate::mapdraw::map_drawing_async;
 use crate::reduce::{agent_reduce, node_reduce, Courier, ReduceExit};
 use crate::schedule::{PhaseKind, Schedule};
-use qelect_agentsim::gated::GatedAgent;
-use qelect_agentsim::{
-    poll_now, AgentOutcome, Color, Interrupt, MobileCtx, MobileCtxAsync, SignKind, SyncCtx,
-    Whiteboard,
-};
+use qelect_agentsim::{AgentOutcome, Color, Interrupt, MobileCtxAsync, SignKind, Whiteboard};
 use qelect_graph::cache::ordered_classes_cached;
 use qelect_graph::Bicolored;
 
@@ -47,7 +41,7 @@ pub const ACTIVATE: SignKind = SignKind::Custom(3);
 
 /// The `Custom` sign kind used for the crash-recovery checkpoint
 /// journal: after completing a reduction phase, an agent (only when
-/// crash faults are armed — see [`MobileCtx::crash_faults_armed`])
+/// crash faults are armed — see [`MobileCtxAsync::crash_faults_armed`])
 /// posts a `CKPT` sign at its home-base whose payload word is the
 /// number of reduction phases it has completed. A restarted incarnation
 /// reads its own highest journal entry to know how much of its re-run
@@ -67,12 +61,6 @@ pub struct LocalView {
     pub schedule: Schedule,
     /// Index of this agent's own class.
     pub my_class: usize,
-}
-
-/// MAP-DRAWING + COMPUTE & ORDER (blocking adapter over
-/// [`compute_local_view_async`] for the thread-per-agent engines).
-pub fn compute_local_view<C: MobileCtx>(ctx: &mut C) -> Result<LocalView, Interrupt> {
-    poll_now(compute_local_view_async(&mut SyncCtx(ctx)))
 }
 
 /// MAP-DRAWING + COMPUTE & ORDER.
@@ -177,31 +165,15 @@ pub struct ElectFault {
     pub invert_gcd_check: bool,
 }
 
-/// Protocol ELECT, as run by one agent (blocking adapter over
-/// [`elect_async`] for the thread-per-agent engines).
+/// Protocol ELECT, as run by one agent.
 ///
 /// Crash-recoverable: when crash faults are armed and this invocation is
 /// a restarted incarnation, everything from the fresh MAP-DRAWING up to
 /// the last journaled checkpoint (see [`CKPT`]) runs inside a
 /// `"recovery"` phase span, so redundant re-execution is attributed
 /// separately per phase in the metrics breakdown.
-pub fn elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    elect_with_fault(ctx, ElectFault::default())
-}
-
-/// Protocol ELECT, as run by one agent. Generic over the runtime engine.
-///
-/// See [`elect`] for the crash-recovery semantics.
 pub async fn elect_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
     elect_with_fault_async(ctx, ElectFault::default()).await
-}
-
-/// [`elect`] with an injected fault (test-only; see [`ElectFault`]).
-pub fn elect_with_fault<C: MobileCtx>(
-    ctx: &mut C,
-    fault: ElectFault,
-) -> Result<AgentOutcome, Interrupt> {
-    poll_now(elect_with_fault_async(&mut SyncCtx(ctx), fault))
 }
 
 /// [`elect_async`] with an injected fault (test-only; see [`ElectFault`]).
@@ -211,7 +183,7 @@ pub async fn elect_with_fault_async<C: MobileCtxAsync>(
 ) -> Result<AgentOutcome, Interrupt> {
     // A restarted incarnation redoes MAP-DRAWING and COMPUTE & ORDER
     // from scratch (its map was volatile); that redundant work belongs
-    // to the recovery span, which elect_from_view_with closes once the
+    // to the recovery span, which elect_from_view_with_async closes once the
     // re-run is past the journaled progress.
     recovery_span_open(ctx);
     let view = compute_local_view_async(ctx).await?;
@@ -220,9 +192,9 @@ pub async fn elect_with_fault_async<C: MobileCtxAsync>(
 
 /// Open the `"recovery"` span when this invocation is a restarted
 /// incarnation under armed crash faults. Every entry point that later
-/// reaches [`elect_from_view_with`] (which closes the span by the same
-/// predicate) must call this before [`compute_local_view`], so the
-/// redone MAP-DRAWING is attributed to recovery.
+/// reaches [`elect_from_view_with_async`] (which closes the span by the
+/// same predicate) must call this before [`compute_local_view_async`],
+/// so the redone MAP-DRAWING is attributed to recovery.
 pub(crate) fn recovery_span_open<C: MobileCtxAsync>(ctx: &mut C) -> bool {
     if ctx.crash_faults_armed() && ctx.incarnation() > 0 {
         ctx.span_open("recovery");
@@ -234,30 +206,11 @@ pub(crate) fn recovery_span_open<C: MobileCtxAsync>(ctx: &mut C) -> bool {
 
 /// ELECT after the local view is computed (shared with the Cayley
 /// variant, which performs additional recognition work on the view).
-/// Blocking adapter over [`elect_from_view_async`].
-pub fn elect_from_view<C: MobileCtx>(
-    ctx: &mut C,
-    view: LocalView,
-) -> Result<AgentOutcome, Interrupt> {
-    elect_from_view_with(ctx, view, ElectFault::default())
-}
-
-/// ELECT after the local view is computed (shared with the Cayley
-/// variant, which performs additional recognition work on the view).
 pub async fn elect_from_view_async<C: MobileCtxAsync>(
     ctx: &mut C,
     view: LocalView,
 ) -> Result<AgentOutcome, Interrupt> {
     elect_from_view_with_async(ctx, view, ElectFault::default()).await
-}
-
-/// [`elect_from_view`] with an injected fault (test-only).
-pub fn elect_from_view_with<C: MobileCtx>(
-    ctx: &mut C,
-    view: LocalView,
-    fault: ElectFault,
-) -> Result<AgentOutcome, Interrupt> {
-    poll_now(elect_from_view_with_async(&mut SyncCtx(ctx), view, fault))
 }
 
 /// [`elect_from_view_async`] with an injected fault (test-only).
@@ -427,7 +380,7 @@ pub async fn elect_from_view_with_async<C: MobileCtxAsync>(
 /// Protocol ELECT as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door ([`qelect_agentsim::run()`]): one value
 /// selects the protocol, the [`RunConfig`](qelect_agentsim::RunConfig)
-/// builder selects engine, scheduler, faults and replay.
+/// builder selects scheduler, faults and replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElectProtocol {
     /// Test-only injected protocol fault (see [`ElectFault`]).
@@ -440,8 +393,8 @@ impl qelect_agentsim::Protocol for ElectProtocol {
     }
 }
 
-/// Run ELECT through the unified engine API: engine choice, scheduler
-/// policy, fault plan and replay schedule all come from the one
+/// Run ELECT through the unified engine API: scheduler policy, fault
+/// plan and replay schedule all come from the one
 /// [`RunConfig`](qelect_agentsim::RunConfig) builder.
 pub fn run_election(
     bc: &Bicolored,
@@ -450,31 +403,23 @@ pub fn run_election(
     qelect_agentsim::run(bc, cfg, &ElectProtocol::default())
 }
 
-/// Fresh ELECT agent programs, optionally faulty (the building block
-/// the replay/exploration drivers rebuild for every schedule).
-pub fn elect_agents(r: usize, fault: ElectFault) -> Vec<GatedAgent> {
-    (0..r)
-        .map(|_| -> GatedAgent { Box::new(move |ctx| elect_with_fault(ctx, fault)) })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::gated::{run_gated_faulty, RunConfig, RunReport};
     use qelect_agentsim::sched::Policy;
+    use qelect_agentsim::sim::{run_sim_faulty, run_staggered, RunConfig, RunReport};
     use qelect_agentsim::FaultPlan;
     use qelect_graph::families;
 
-    /// Crash-free ELECT through the non-deprecated typed entry.
+    /// Crash-free ELECT on the sim engine.
     fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-        run_gated_faulty(
+        run_sim_faulty(
             bc,
             cfg,
             &FaultPlan::none(),
-            elect_agents(bc.r(), ElectFault::default()),
+            vec![ElectProtocol::default(); bc.r()],
         )
-        .expect("gated run failed")
+        .expect("sim run failed")
     }
 
     fn check_elects(bc: &Bicolored, seed: u64) -> RunReport {
@@ -633,12 +578,10 @@ mod tests {
     fn staggered_wakeup_still_elects() {
         // The paper's wake-up semantics: only one agent starts
         // spontaneously; its MAP-DRAWING marks wake the others.
-        use qelect_agentsim::gated::run_gated_staggered;
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
         for initiator in 0..3 {
-            let agents: Vec<GatedAgent> =
-                (0..3).map(|_| -> GatedAgent { Box::new(elect) }).collect();
-            let report = run_gated_staggered(&bc, RunConfig::default(), agents, &[initiator]);
+            let agents = vec![ElectProtocol::default(); 3];
+            let report = run_staggered(&bc, RunConfig::default(), agents, &[initiator]).unwrap();
             assert!(
                 report.clean_election(),
                 "initiator {initiator}: {:?} ({:?})",
@@ -650,10 +593,9 @@ mod tests {
 
     #[test]
     fn staggered_wakeup_on_failure_instance() {
-        use qelect_agentsim::gated::run_gated_staggered;
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let agents: Vec<GatedAgent> = (0..2).map(|_| -> GatedAgent { Box::new(elect) }).collect();
-        let report = run_gated_staggered(&bc, RunConfig::default(), agents, &[1]);
+        let agents = vec![ElectProtocol::default(); 2];
+        let report = run_staggered(&bc, RunConfig::default(), agents, &[1]).unwrap();
         assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes);
     }
 

@@ -11,21 +11,14 @@
 
 use crate::elect::{compute_local_view_async, elect_from_view_async};
 use crate::reduce::Courier;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
 use qelect_agentsim::{
-    poll_now, AgentOutcome, Color, Interrupt, MobileCtx, MobileCtxAsync, SignKind, SyncCtx,
+    AgentOutcome, Color, ElectionRun, Interrupt, MobileCtxAsync, Protocol, RunConfig, RunError,
+    SignKind,
 };
 use qelect_graph::Bicolored;
 
 /// Posted at the leader's home-base by each arriving agent.
 pub const GATHERED: SignKind = SignKind::Custom(31);
-
-/// Elect, then gather at the leader's home-base (blocking adapter over
-/// [`gather_async`] for the thread-per-agent engines).
-pub fn gather<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(gather_async(&mut SyncCtx(ctx)))
-}
 
 /// Elect, then gather at the leader's home-base.
 ///
@@ -80,12 +73,19 @@ pub async fn gather_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcome
     }
 }
 
-/// Run the gathering protocol with the gated engine.
-pub fn run_gather(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(gather) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+/// The gathering protocol as a [`Protocol`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GatherProtocol;
+
+impl Protocol for GatherProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        gather_async(ctx).await
+    }
+}
+
+/// Run the gathering protocol.
+pub fn run_gather(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
+    qelect_agentsim::run(bc, cfg, &GatherProtocol)
 }
 
 #[cfg(test)]
@@ -97,11 +97,7 @@ mod tests {
     fn gathering_succeeds_where_election_does() {
         let bc = Bicolored::new(families::cycle(7).unwrap(), &[0, 1, 3]).unwrap();
         for seed in [1, 2, 3] {
-            let cfg = RunConfig {
-                seed,
-                ..RunConfig::default()
-            };
-            let report = run_gather(&bc, cfg);
+            let report = run_gather(&bc, &RunConfig::new(seed)).unwrap().report;
             assert!(
                 report.clean_election(),
                 "seed {seed}: {:?} ({:?})",
@@ -120,21 +116,21 @@ mod tests {
     #[test]
     fn gathering_fails_where_election_does() {
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let report = run_gather(&bc, RunConfig::default());
+        let report = run_gather(&bc, &RunConfig::default()).unwrap().report;
         assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes);
     }
 
     #[test]
     fn single_agent_gathers_trivially() {
         let bc = Bicolored::new(families::path(4).unwrap(), &[2]).unwrap();
-        let report = run_gather(&bc, RunConfig::default());
+        let report = run_gather(&bc, &RunConfig::default()).unwrap().report;
         assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
     }
 
     #[test]
     fn gathering_on_hypercube() {
         let bc = Bicolored::new(families::hypercube(3).unwrap(), &[0, 1, 3]).unwrap();
-        let report = run_gather(&bc, RunConfig::default());
+        let report = run_gather(&bc, &RunConfig::default()).unwrap().report;
         assert!(report.clean_election(), "{:?}", report.outcomes);
     }
 }

@@ -18,19 +18,7 @@
 //! in total, the map-drawing share of Theorem 3.1's bound.
 
 use crate::map::AgentMap;
-use qelect_agentsim::{
-    poll_now, Interrupt, LocalPort, MobileCtx, MobileCtxAsync, Sign, SignKind, SyncCtx,
-};
-
-/// Walk the whole graph by whiteboard DFS and return the completed map.
-/// The agent ends back at its home-base (map node 0).
-///
-/// Blocking adapter over [`map_drawing_async`] for the thread-per-agent
-/// gated engine: the future resolves on the first poll because every
-/// [`SyncCtx`] primitive blocks inside it.
-pub fn map_drawing<C: MobileCtx>(ctx: &mut C) -> Result<AgentMap, Interrupt> {
-    poll_now(map_drawing_async(&mut SyncCtx(ctx)))
-}
+use qelect_agentsim::{Interrupt, LocalPort, MobileCtxAsync, Sign, SignKind};
 
 /// Walk the whole graph by whiteboard DFS and return the completed map.
 /// The agent ends back at its home-base (map node 0).
@@ -165,36 +153,41 @@ async fn map_drawing_inner<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentMap, I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-    use qelect_agentsim::{AgentOutcome, FaultPlan};
+    use qelect_agentsim::sim::{run_sim_faulty, RunConfig, RunReport};
+    use qelect_agentsim::{AgentOutcome, FaultPlan, Protocol};
     use qelect_graph::canon::are_isomorphic;
     use qelect_graph::{families, Bicolored, ColoredDigraph};
     use std::sync::mpsc;
 
-    /// Crash-free run through the non-deprecated typed entry (shadows
-    /// the legacy `run_gated` shim for every test below).
-    fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-        run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    fn run_sim<P: Protocol>(bc: &Bicolored, cfg: RunConfig, agents: Vec<P>) -> RunReport {
+        run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
+    }
+
+    /// Draw the map, hand it to the collector as agent `i`'s.
+    struct DrawMap {
+        i: usize,
+        tx: mpsc::Sender<(usize, AgentMap)>,
+    }
+    impl Protocol for DrawMap {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            let map = map_drawing_async(ctx).await?;
+            self.tx.send((self.i, map)).expect("collector alive");
+            Ok(AgentOutcome::Defeated)
+        }
     }
 
     /// Run map drawing for every agent and return the maps.
     fn draw_all(bc: &Bicolored, seed: u64) -> Vec<AgentMap> {
         let (tx, rx) = mpsc::channel::<(usize, AgentMap)>();
-        let agents: Vec<GatedAgent> = (0..bc.r())
-            .map(|i| -> GatedAgent {
-                let tx = tx.clone();
-                Box::new(move |ctx| {
-                    let map = map_drawing(ctx)?;
-                    tx.send((i, map)).expect("collector alive");
-                    Ok(AgentOutcome::Defeated)
-                })
-            })
-            .collect();
+        let agents: Vec<DrawMap> = (0..bc.r()).map(|i| DrawMap { i, tx: tx.clone() }).collect();
         let cfg = RunConfig {
             seed,
             ..RunConfig::default()
         };
-        let report = run_gated(bc, cfg, agents);
+        let report = run_sim(bc, cfg, agents);
         assert!(report.interrupted.is_none(), "{:?}", report.outcomes);
         drop(tx);
         let mut maps: Vec<(usize, AgentMap)> = rx.into_iter().collect();
@@ -278,11 +271,8 @@ mod tests {
     #[test]
     fn map_drawing_cost_is_linear_in_edges() {
         let bc = Bicolored::new(families::hypercube(4).unwrap(), &[0]).unwrap();
-        let agents: Vec<GatedAgent> = vec![Box::new(|ctx| {
-            map_drawing(ctx)?;
-            Ok(AgentOutcome::Defeated)
-        })];
-        let report = run_gated(&bc, RunConfig::default(), agents);
+        let (tx, _rx) = mpsc::channel();
+        let report = run_sim(&bc, RunConfig::default(), vec![DrawMap { i: 0, tx }]);
         let m = bc.graph().m() as u64;
         assert!(
             report.metrics.total_moves() <= 4 * m,

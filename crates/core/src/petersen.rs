@@ -24,10 +24,9 @@
 
 use crate::mapdraw::map_drawing_async;
 use crate::reduce::Courier;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
 use qelect_agentsim::{
-    poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, Sign, SignKind, SyncCtx,
+    AgentOutcome, ElectionRun, Interrupt, MobileCtxAsync, Protocol, RunConfig, RunError, Sign,
+    SignKind,
 };
 use qelect_graph::Bicolored;
 
@@ -39,12 +38,6 @@ pub const ACQUIRE_X: SignKind = SignKind::Custom(22);
 /// the other agent can *wait* instead of polling (starvation-proof under
 /// maximally unfair schedulers).
 pub const MARK_DONE: SignKind = SignKind::Custom(23);
-
-/// The two-agent Petersen protocol (blocking adapter over
-/// [`petersen_elect_async`] for the thread-per-agent engines).
-pub fn petersen_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(petersen_elect_async(&mut SyncCtx(ctx)))
-}
 
 /// The two-agent Petersen protocol.
 pub async fn petersen_elect_async<C: MobileCtxAsync>(
@@ -143,13 +136,20 @@ pub async fn petersen_elect_async<C: MobileCtxAsync>(
     })
 }
 
-/// Run the Petersen protocol with the gated engine.
-pub fn run_petersen(bc: &Bicolored, cfg: RunConfig) -> RunReport {
+/// The two-agent Petersen protocol as a [`Protocol`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PetersenProtocol;
+
+impl Protocol for PetersenProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        petersen_elect_async(ctx).await
+    }
+}
+
+/// Run the Petersen protocol (two agents).
+pub fn run_petersen(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
     assert_eq!(bc.r(), 2);
-    let agents: Vec<GatedAgent> = (0..2)
-        .map(|_| -> GatedAgent { Box::new(petersen_elect) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    qelect_agentsim::run(bc, cfg, &PetersenProtocol)
 }
 
 #[cfg(test)]
@@ -165,11 +165,9 @@ mod tests {
     #[test]
     fn elects_one_leader() {
         for seed in 0..6 {
-            let cfg = RunConfig {
-                seed,
-                ..RunConfig::default()
-            };
-            let report = run_petersen(&petersen_pair(), cfg);
+            let report = run_petersen(&petersen_pair(), &RunConfig::new(seed))
+                .unwrap()
+                .report;
             assert!(
                 report.clean_election(),
                 "seed {seed}: {:?} ({:?})",
@@ -182,11 +180,8 @@ mod tests {
     #[test]
     fn elects_under_adversarial_schedulers() {
         for policy in [Policy::Lockstep, Policy::RoundRobin, Policy::GreedyLowest] {
-            let cfg = RunConfig {
-                policy,
-                ..RunConfig::default()
-            };
-            let report = run_petersen(&petersen_pair(), cfg);
+            let cfg = RunConfig::default().policy(policy);
+            let report = run_petersen(&petersen_pair(), &cfg).unwrap().report;
             assert!(report.clean_election(), "{policy:?}: {:?}", report.outcomes);
         }
     }
@@ -199,7 +194,7 @@ mod tests {
         for (u, v) in [(0usize, 5usize), (5, 7), (2, 3), (4, 9)] {
             assert!(g.neighbors(u).any(|w| w == v), "({u},{v}) must be an edge");
             let bc = Bicolored::new(g.clone(), &[u, v]).unwrap();
-            let report = run_petersen(&bc, RunConfig::default());
+            let report = run_petersen(&bc, &RunConfig::default()).unwrap().report;
             assert!(report.clean_election(), "({u},{v}): {:?}", report.outcomes);
         }
     }

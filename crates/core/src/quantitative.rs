@@ -16,21 +16,14 @@
 
 use crate::mapdraw::map_drawing_async;
 use crate::reduce::Courier;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
 use qelect_agentsim::{
-    poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SignKind, SyncCtx,
+    run_each, AgentOutcome, ElectionRun, Interrupt, MobileCtxAsync, Protocol, RunConfig, RunError,
+    SignKind,
 };
 use qelect_graph::Bicolored;
 
 /// The `Custom` sign kind carrying a quantitative ID (payload: `[id]`).
 pub const ID_SIGN: SignKind = SignKind::Custom(1);
-
-/// The universal quantitative protocol, run by an agent with label `id`
-/// (blocking adapter over [`quantitative_elect_async`]).
-pub fn quantitative_elect<C: MobileCtx>(ctx: &mut C, id: u64) -> Result<AgentOutcome, Interrupt> {
-    poll_now(quantitative_elect_async(&mut SyncCtx(ctx), id))
-}
 
 /// The universal quantitative protocol, run by an agent with label `id`.
 pub async fn quantitative_elect_async<C: MobileCtxAsync>(
@@ -72,32 +65,45 @@ pub async fn quantitative_elect_async<C: MobileCtxAsync>(
     })
 }
 
-/// Run the quantitative protocol with the gated engine, assigning agent
-/// `i` the label `ids[i]` (labels must be pairwise distinct).
-pub fn run_quantitative(bc: &Bicolored, cfg: RunConfig, ids: &[u64]) -> RunReport {
+/// The quantitative protocol as run by the agent labeled `id`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuantitativeProtocol {
+    /// The agent's comparable label.
+    pub id: u64,
+}
+
+impl Protocol for QuantitativeProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        quantitative_elect_async(ctx, self.id).await
+    }
+}
+
+/// Run the quantitative protocol, assigning agent `i` the label `ids[i]`
+/// (labels must be pairwise distinct).
+pub fn run_quantitative(
+    bc: &Bicolored,
+    cfg: &RunConfig,
+    ids: &[u64],
+) -> Result<ElectionRun, RunError> {
     assert_eq!(ids.len(), bc.r(), "one label per agent");
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "labels must be distinct");
-    let agents: Vec<GatedAgent> = ids
-        .iter()
-        .map(|&id| -> GatedAgent { Box::new(move |ctx| quantitative_elect(ctx, id)) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    let agents = ids.iter().map(|&id| QuantitativeProtocol { id }).collect();
+    run_each(bc, cfg, agents)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qelect_agentsim::RunReport;
     use qelect_graph::families;
 
     fn check(bc: &Bicolored, ids: &[u64], seed: u64) -> RunReport {
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
-        };
-        let report = run_quantitative(bc, cfg, ids);
+        let report = run_quantitative(bc, &RunConfig::new(seed), ids)
+            .unwrap()
+            .report;
         assert!(
             report.clean_election(),
             "{:?} ({:?})",
@@ -149,7 +155,7 @@ mod tests {
     fn rejects_duplicate_ids() {
         let bc = Bicolored::new(families::cycle(4).unwrap(), &[0, 2]).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_quantitative(&bc, RunConfig::default(), &[5, 5])
+            run_quantitative(&bc, &RunConfig::default(), &[5, 5])
         }));
         assert!(
             result.is_err(),

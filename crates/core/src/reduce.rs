@@ -28,11 +28,8 @@
 //! per match, plus O(log) swap reconstructions).
 //!
 //! Both subroutines are written once as `async` bodies over
-//! [`MobileCtxAsync`] and run unchanged on every engine: the
-//! single-threaded discrete-event simulator polls the futures directly,
-//! while the thread-per-agent engines drive them through
-//! [`SyncCtx`](qelect_agentsim::SyncCtx) (whose primitives block inside
-//! the poll, so the future completes on its first poll).
+//! [`MobileCtxAsync`], which the discrete-event engine polls as state
+//! machines.
 
 use crate::map::{AgentMap, RouteScratch};
 use crate::schedule::{AgentRound, NodeRound};
@@ -622,15 +619,42 @@ async fn node_reduce_inner<C: MobileCtxAsync>(
 mod tests {
     use super::*;
     use crate::mapdraw::map_drawing_async;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
     use qelect_agentsim::sched::Policy;
-    use qelect_agentsim::{poll_now, AgentOutcome, FaultPlan, SyncCtx};
+    use qelect_agentsim::sim::{run_sim_faulty, RunConfig, RunReport};
+    use qelect_agentsim::{AgentOutcome, FaultPlan, Protocol};
     use qelect_graph::{families, Bicolored};
 
-    /// Crash-free run through the non-deprecated typed entry (shadows
-    /// the legacy `run_gated` shim for every test below).
-    fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-        run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    fn run_sim<P: Protocol>(bc: &Bicolored, cfg: RunConfig, agents: Vec<P>) -> RunReport {
+        run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
+    }
+
+    /// Map the network, go home, and synchronize: with the paper-literal
+    /// sweep barrier over all `r` agents, or by posting at home and
+    /// visiting every home-base.
+    #[derive(Clone)]
+    struct Barrier {
+        sweep: bool,
+        tag: u64,
+    }
+    impl Protocol for Barrier {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            let map = map_drawing_async(ctx).await?;
+            let homes: Vec<usize> = map.homebases().iter().map(|&(v, _)| v).collect();
+            let r = homes.len();
+            let mut cr = Courier::new(ctx, map);
+            cr.goto(0).await?;
+            if self.sweep {
+                cr.barrier_sweep(r, SignKind::Sync, &[self.tag]).await?;
+            } else {
+                cr.post(SignKind::Sync, vec![self.tag]).await?;
+                cr.barrier_visit(&homes, SignKind::Sync, &[self.tag])
+                    .await?;
+            }
+            Ok(AgentOutcome::Defeated)
+        }
     }
 
     #[test]
@@ -641,23 +665,15 @@ mod tests {
         // everyone swept everything.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
         for policy in [Policy::Random, Policy::Lockstep, Policy::GreedyLowest] {
-            let mk = || -> GatedAgent {
-                Box::new(|ctx| {
-                    poll_now(async move {
-                        let mut actx = SyncCtx(ctx);
-                        let map = map_drawing_async(&mut actx).await?;
-                        let mut cr = Courier::new(&mut actx, map);
-                        cr.goto(0).await?;
-                        cr.barrier_sweep(3, SignKind::Sync, &[77]).await?;
-                        Ok(AgentOutcome::Defeated)
-                    })
-                })
-            };
             let cfg = RunConfig {
                 policy,
                 ..RunConfig::default()
             };
-            let report = run_gated(&bc, cfg, vec![mk(), mk(), mk()]);
+            let barrier = Barrier {
+                sweep: true,
+                tag: 77,
+            };
+            let report = run_sim(&bc, cfg, vec![barrier; 3]);
             assert!(
                 report.interrupted.is_none(),
                 "{policy:?}: {:?}",
@@ -675,25 +691,8 @@ mod tests {
         // moves, sweep-based ones O(n) — measure both on one instance.
         let bc = Bicolored::new(families::cycle(8).unwrap(), &[0, 2, 5]).unwrap();
         let run = |sweep: bool| -> u64 {
-            let mk = move || -> GatedAgent {
-                Box::new(move |ctx| {
-                    poll_now(async move {
-                        let mut actx = SyncCtx(ctx);
-                        let map = map_drawing_async(&mut actx).await?;
-                        let homes: Vec<usize> = map.homebases().iter().map(|&(v, _)| v).collect();
-                        let mut cr = Courier::new(&mut actx, map);
-                        cr.goto(0).await?;
-                        if sweep {
-                            cr.barrier_sweep(3, SignKind::Sync, &[5]).await?;
-                        } else {
-                            cr.post(SignKind::Sync, vec![5]).await?;
-                            cr.barrier_visit(&homes, SignKind::Sync, &[5]).await?;
-                        }
-                        Ok(AgentOutcome::Defeated)
-                    })
-                })
-            };
-            let report = run_gated(&bc, RunConfig::default(), vec![mk(), mk(), mk()]);
+            let barrier = Barrier { sweep, tag: 5 };
+            let report = run_sim(&bc, RunConfig::default(), vec![barrier; 3]);
             assert!(report.interrupted.is_none(), "{:?}", report.outcomes);
             report.metrics.total_moves()
         };
@@ -759,7 +758,7 @@ mod tests {
     /// with the pure schedule and with the gcd oracle.
     #[test]
     fn reduce_edge_case_instances_end_to_end() {
-        use crate::elect::{elect_agents, ElectFault};
+        use crate::elect::ElectProtocol;
         use crate::solvability::{elect_succeeds, gcd_of_class_sizes};
         use qelect_graph::cache::ordered_classes_cached;
 
@@ -782,10 +781,10 @@ mod tests {
             assert_eq!(schedule.final_d, g, "C{n} {homes:?}");
             assert_eq!(schedule.elects(), g == 1);
 
-            let report = run_gated(
+            let report = run_sim(
                 &bc,
                 RunConfig::default(),
-                elect_agents(bc.r(), ElectFault::default()),
+                vec![ElectProtocol::default(); bc.r()],
             );
             assert!(report.interrupted.is_none(), "C{n} {homes:?}");
             assert_eq!(report.clean_election(), g == 1, "C{n} {homes:?}");

@@ -8,31 +8,36 @@
 //! [`qelect_agentsim::registry`]; this module supplies the entries,
 //! because the protocol implementations live in this crate.
 //!
-//! | wire name | paper | engines | oracle |
-//! |---|---|---|---|
-//! | `elect` | SPAA 2003 (source) | gated, sim | gcd of class sizes = 1 |
-//! | `cayley` | SPAA 2003 §4 | gated, sim | Theorem 4.1 (when decided) |
-//! | `quantitative` | SPAA 2003 §1.3 | gated | always elects |
-//! | `view` | SPAA 2003 §2 | gated | — |
-//! | `gather` | SPAA 2003 §5 | gated | — |
-//! | `petersen` | SPAA 2003 §4 | gated | — |
-//! | `anonymous` | SPAA 2003 §1.3 | gated, sim | — (the counterexample) |
-//! | `dp-anon` | arXiv:1205.6249 | gated, sim | some singleton home-base class |
-//! | `agent-elect` | arXiv:2403.13716 | gated, sim | always elects |
+//! Every entry runs on the one engine ([`qelect_agentsim::sim`]).
+//!
+//! | wire name | paper | oracle |
+//! |---|---|---|
+//! | `elect` | SPAA 2003 (source) | gcd of class sizes = 1 |
+//! | `cayley` | SPAA 2003 §4 | Theorem 4.1 (when decided) |
+//! | `quantitative` | SPAA 2003 §1.3 | always elects |
+//! | `view` | SPAA 2003 §2 | — |
+//! | `gather` | SPAA 2003 §5 | — |
+//! | `petersen` | SPAA 2003 §4 | — |
+//! | `anonymous` | SPAA 2003 §1.3 | — (the counterexample) |
+//! | `dp-anon` | arXiv:1205.6249 | some singleton home-base class |
+//! | `agent-elect` | arXiv:2403.13716 | always elects |
 
 use crate::agent_elect::AgentElectProtocol;
 use crate::anonymous::{ring_probe_counterexample, RingProbeProtocol};
 use crate::dp_anon::{dp_solvable, DpAnonProtocol};
 use crate::elect::{run_election, ElectProtocol};
+use crate::gathering::run_gather;
+use crate::petersen::run_petersen;
+use crate::quantitative::run_quantitative;
 use crate::solvability::{elect_succeeds, election_possible_cayley};
 use crate::translation_elect::TranslationElectProtocol;
+use crate::view_elect::run_view_elect;
 use qelect_agentsim::fault::FaultPlan;
-use qelect_agentsim::gated::{self, try_run_gated_with, RunReport};
 use qelect_agentsim::json::envelope;
-use qelect_agentsim::registry::protocol_agents;
 use qelect_agentsim::sched::Scheduler;
+use qelect_agentsim::sim::{self, RunReport};
 use qelect_agentsim::{
-    try_run_sim_with, AgentOutcome, ElectionRun, Engine, ExploreSpec, Protocol, ProtocolCaps,
+    try_run_sim_with, AgentOutcome, ElectionRun, ExploreSpec, Protocol, ProtocolCaps,
     ProtocolEntry, ProtocolId, Registry, RunConfig, RunError, Trace,
 };
 use qelect_graph::Bicolored;
@@ -42,9 +47,6 @@ use qelect_group::recognition::RecognitionBudget;
 /// absent `"protocol"` field in a `qelectd` request, the bare `run`
 /// default, the load generator's default mix).
 pub const DEFAULT_PROTOCOL: &str = "elect";
-
-const ALL_ENGINES: &[Engine] = &Engine::ALL;
-const GATED_ONLY: &[Engine] = &[Engine::Gated];
 
 fn run_elect_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
     run_election(bc, cfg)
@@ -72,98 +74,64 @@ pub fn quantitative_ids(r: usize) -> Vec<u64> {
     (0..r as u64).map(|i| 100 + i).collect()
 }
 
-fn gated_report_to_run(
-    cfg: &RunConfig,
-    report: qelect_agentsim::RunReport,
-) -> Result<ElectionRun, RunError> {
-    Ok(ElectionRun {
-        engine: cfg.engine.name(),
-        faults: report.metrics.faults,
-        report,
-    })
-}
-
 fn run_quantitative_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    let ids = quantitative_ids(bc.r());
-    gated_report_to_run(
-        cfg,
-        crate::quantitative::run_quantitative(bc, cfg.to_gated(), &ids),
-    )
+    run_quantitative(bc, cfg, &quantitative_ids(bc.r()))
 }
 
 fn run_view_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::view_elect::run_view_elect(bc, cfg.to_gated()))
+    run_view_elect(bc, cfg)
 }
 
 fn run_gather_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::gathering::run_gather(bc, cfg.to_gated()))
+    run_gather(bc, cfg)
 }
 
 fn run_petersen_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::petersen::run_petersen(bc, cfg.to_gated()))
+    run_petersen(bc, cfg)
 }
 
-/// One exploration schedule for a [`Protocol`] implementation on either
-/// deterministic engine — the uniform `ExploreSpec::run` body. Both arms
-/// run the *same* protocol value, so the gated and sim engines produce
-/// byte-identical reports for the same grant sequence and coverage
-/// signatures are engine-portable.
-fn explore_run_for<P>(
-    protocol: &P,
+/// One exploration schedule for a [`Protocol`] implementation — the
+/// uniform `ExploreSpec::run` body.
+fn explore_run_for<P: Protocol + Clone>(
+    protocol: P,
     bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
+    cfg: &sim::RunConfig,
     scheduler: &mut dyn Scheduler,
-) -> Result<RunReport, RunError>
-where
-    P: Protocol + Clone + Send + 'static,
-{
-    match engine {
-        Engine::Sim => try_run_sim_with(bc, *cfg, &FaultPlan::none(), protocol, scheduler),
-        _ => try_run_gated_with(
-            bc,
-            *cfg,
-            &FaultPlan::none(),
-            protocol_agents(protocol.clone(), bc),
-            scheduler,
-        ),
-    }
+) -> Result<RunReport, RunError> {
+    let agents = vec![protocol; bc.r()];
+    try_run_sim_with(bc, *cfg, &FaultPlan::none(), agents, scheduler)
 }
 
 fn elect_explore_run(
     bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
+    cfg: &sim::RunConfig,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError> {
-    explore_run_for(&ElectProtocol::default(), bc, cfg, engine, scheduler)
+    explore_run_for(ElectProtocol::default(), bc, cfg, scheduler)
 }
 
 fn anonymous_explore_run(
     bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
+    cfg: &sim::RunConfig,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError> {
-    explore_run_for(&RingProbeProtocol, bc, cfg, engine, scheduler)
+    explore_run_for(RingProbeProtocol, bc, cfg, scheduler)
 }
 
 fn dp_anon_explore_run(
     bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
+    cfg: &sim::RunConfig,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError> {
-    explore_run_for(&DpAnonProtocol, bc, cfg, engine, scheduler)
+    explore_run_for(DpAnonProtocol, bc, cfg, scheduler)
 }
 
 fn agent_elect_explore_run(
     bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
+    cfg: &sim::RunConfig,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError> {
-    explore_run_for(&AgentElectProtocol, bc, cfg, engine, scheduler)
+    explore_run_for(AgentElectProtocol, bc, cfg, scheduler)
 }
 
 fn elect_explore_property(bc: &Bicolored, report: &RunReport) -> Result<(), String> {
@@ -264,7 +232,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "Protocol ELECT: comparison-free election over whiteboards (Theorem 3.1)",
         paper: "SPAA 2003 (the source paper)",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
@@ -280,7 +247,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "translation election on Cayley graphs (Theorem 4.1 verdict first)",
         paper: "SPAA 2003 \u{a7}4",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: false,
             explorable: false,
             servable: true,
@@ -296,7 +262,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "universal election with externally assigned comparable labels (\u{a7}1.3)",
         paper: "SPAA 2003 \u{a7}1.3",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -312,7 +277,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "view-based election (quotient-graph views, \u{a7}2 machinery)",
         paper: "SPAA 2003 \u{a7}2",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -328,7 +292,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "gathering: all agents meet at one node (\u{a7}5 reduction)",
         paper: "SPAA 2003 \u{a7}5",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -344,7 +307,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "the \u{a7}4 two-agent Petersen-graph special case (r = 2 only)",
         paper: "SPAA 2003 \u{a7}4",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -360,7 +322,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "the \u{a7}1.3 anonymous ring probe (the executable impossibility argument)",
         paper: "SPAA 2003 \u{a7}1.3",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: false,
             explorable: true,
             servable: false,
@@ -376,7 +337,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "Dereniowski\u{2013}Pelc anonymous-agent election (singleton-class criterion)",
         paper: "arXiv:1205.6249",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
@@ -392,7 +352,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "agent-based election with comparable identifiers (always solvable)",
         paper: "arXiv:2403.13716",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
@@ -478,43 +437,6 @@ mod tests {
                 "{}: the explorable cap and the explore spec must agree",
                 e.id
             );
-            assert!(
-                !e.caps.engines.is_empty(),
-                "{} supports no engine at all",
-                e.id
-            );
-        }
-    }
-
-    #[test]
-    fn explore_specs_run_on_both_deterministic_engines_identically() {
-        // The coverage-signature contract: same (instance, seed,
-        // schedule) → byte-identical outcomes/leader/grants on gated
-        // and sim, for every explorable entry that serves both.
-        let bc = cycle(9, &[0, 1, 3]);
-        for e in registry().entries() {
-            let Some(spec) = e.explore else { continue };
-            if !e.supports(Engine::Sim) {
-                continue;
-            }
-            let cfg = gated::RunConfig {
-                seed: 11,
-                record_trace: true,
-                ..gated::RunConfig::default()
-            };
-            let mut s1 = qelect_agentsim::sched::RoundRobinScheduler::default();
-            let gated_rep = (spec.run)(&bc, &cfg, Engine::Gated, &mut s1).unwrap();
-            let mut s2 = qelect_agentsim::sched::RoundRobinScheduler::default();
-            let sim_rep = (spec.run)(&bc, &cfg, Engine::Sim, &mut s2).unwrap();
-            assert_eq!(gated_rep.outcomes, sim_rep.outcomes, "{}", e.id);
-            assert_eq!(gated_rep.leader, sim_rep.leader, "{}", e.id);
-            assert_eq!(gated_rep.trace, sim_rep.trace, "{}", e.id);
-            assert_eq!(
-                (spec.property)(&bc, &gated_rep).is_ok(),
-                (spec.property)(&bc, &sim_rep).is_ok(),
-                "{}",
-                e.id
-            );
         }
     }
 
@@ -558,22 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_gating_is_typed() {
-        let bc = cycle(6, &[0, 3]);
-        let entry = resolve("quantitative").unwrap();
-        let err = entry
-            .run(&bc, &RunConfig::new(0).engine(Engine::Sim))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RunError::UnsupportedEngine {
-                protocol: "quantitative",
-                engine: "sim",
-            }
-        );
-    }
-
-    #[test]
     fn every_servable_entry_runs_on_a_small_instance() {
         // The serving layer routes arbitrary instances at every servable
         // protocol, so each must at least complete without panicking on
@@ -581,22 +487,53 @@ mod tests {
         let cases = [cycle(9, &[0, 1, 3]), cycle(6, &[0, 3])];
         for e in registry().entries().iter().filter(|e| e.caps.servable) {
             for bc in &cases {
-                for &engine in e.caps.engines {
-                    let run = e
-                        .run(bc, &RunConfig::new(3).engine(engine))
-                        .unwrap_or_else(|err| panic!("{} on {}: {err}", e.id, engine.name()));
-                    if let Some(expect) = (e.oracle)(bc) {
-                        assert_eq!(
-                            run.clean_election(),
-                            expect,
-                            "{} vs oracle on {:?} ({})",
-                            e.id,
-                            bc.homebases(),
-                            engine.name()
-                        );
-                    }
+                let run = e
+                    .run(bc, &RunConfig::new(3))
+                    .unwrap_or_else(|err| panic!("{}: {err}", e.id));
+                if let Some(expect) = (e.oracle)(bc) {
+                    assert_eq!(
+                        run.clean_election(),
+                        expect,
+                        "{} vs oracle on {:?}",
+                        e.id,
+                        bc.homebases()
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn entry_runs_honour_replay_schedules_and_fault_plans() {
+        use qelect_agentsim::sched::Policy;
+        use qelect_agentsim::{FaultAction, FaultEvent, FaultPlan};
+        let bc = cycle(7, &[0, 1, 3]);
+        for name in ["quantitative", "gather"] {
+            let entry = resolve(name).unwrap();
+            // A schedule recorded under the random policy replays
+            // strictly, whatever policy the replaying config names.
+            let recorded = RunConfig::new(5).policy(Policy::Random).record_trace(true);
+            let first = entry.run(&bc, &recorded).unwrap().report;
+            let replay = RunConfig::new(5)
+                .policy(Policy::RoundRobin)
+                .record_trace(true)
+                .replay(first.trace.clone(), true);
+            let second = entry.run(&bc, &replay).unwrap().report;
+            assert_eq!(second.trace, first.trace, "{name}");
+            assert_eq!(second.events, first.events, "{name}");
+            assert_eq!(second.outcomes, first.outcomes, "{name}");
+            assert_eq!(second.metrics.per_agent, first.metrics.per_agent, "{name}");
+            // A one-crash plan reaches the run and its fault summary.
+            let plan = FaultPlan {
+                events: vec![FaultEvent {
+                    agent: 1,
+                    at_op: 3,
+                    action: FaultAction::Crash { restart_after: 1 },
+                }],
+                ..FaultPlan::none()
+            };
+            let run = entry.run(&bc, &RunConfig::new(5).faults(plan)).unwrap();
+            assert_eq!(run.faults.crashes, 1, "{name}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Record, replay, and systematically explore ELECT executions.
 //!
-//! The gated engine is deterministic given `(instance, seed, grant
+//! The engine is deterministic given `(instance, seed, grant
 //! sequence)`, which buys three capabilities, packaged here for the
 //! election protocols:
 //!
@@ -19,19 +19,22 @@
 //!   [`ElectFault`]) through a bespoke session driver to prove the
 //!   harness actually catches and shrinks violations.
 
-use crate::anonymous::ring_probe;
-use crate::elect::{elect_agents, run_election, ElectFault};
+use crate::anonymous::RingProbeProtocol;
+use crate::elect::{run_election, ElectFault, ElectProtocol};
 use crate::solvability::elect_succeeds;
-use crate::translation_elect::translation_elect;
+use crate::translation_elect::run_translation_elect;
 use qelect_agentsim::explore::{ExploreConfig, ExploreReport, ExploreSession};
 use qelect_agentsim::fault::{shrink_plan, FaultPlan};
-use qelect_agentsim::gated::{
-    run_gated_faulty, try_run_gated_with, GatedAgent, RunConfig, RunReport,
-};
 use qelect_agentsim::sched::{ReplayScheduler, Scheduler};
+use qelect_agentsim::sim::{run_sim_faulty, try_run_sim_with, RunConfig, RunReport};
 use qelect_agentsim::trace::Trace;
-use qelect_agentsim::{ElectionRun, Engine, RunError};
+use qelect_agentsim::{ElectionRun, Protocol, RunError};
 use qelect_graph::Bicolored;
+
+/// ELECT, optionally faulty, on every agent.
+fn elect_agents(r: usize, fault: ElectFault) -> Vec<ElectProtocol> {
+    vec![ElectProtocol { fault }; r]
+}
 
 /// Run ELECT with trace recording on and package the result.
 pub fn run_elect_recorded(bc: &Bicolored, cfg: RunConfig, label: &str) -> (RunReport, Trace) {
@@ -39,13 +42,13 @@ pub fn run_elect_recorded(bc: &Bicolored, cfg: RunConfig, label: &str) -> (RunRe
         record_trace: true,
         ..cfg
     };
-    let report = run_gated_faulty(
+    let report = run_sim_faulty(
         bc,
         cfg,
         &FaultPlan::none(),
         elect_agents(bc.r(), ElectFault::default()),
     )
-    .expect("gated run failed");
+    .expect("sim run failed");
     let trace = report.to_trace(bc, cfg.seed, label);
     (report, trace)
 }
@@ -60,10 +63,7 @@ pub fn run_translation_elect_recorded(
         record_trace: true,
         ..cfg
     };
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(translation_elect) })
-        .collect();
-    let report = run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed");
+    let report = run_translation_elect(bc, cfg);
     let trace = report.to_trace(bc, cfg.seed, label);
     (report, trace)
 }
@@ -85,10 +85,15 @@ fn check_instance(bc: &Bicolored, trace: &Trace) {
     );
 }
 
-/// Re-execute a recorded ELECT run. The trace's seed is used (colors
-/// and port scrambles must match the recording for bit-for-bit replay);
-/// `strict` panics on the first schedule divergence.
-pub fn replay_elect(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
+/// Re-execute `trace` with `protocol` on every agent, under the trace's
+/// seed (colors and port scrambles must match the recording for
+/// bit-for-bit replay); `strict` panics on the first schedule divergence.
+fn replay<P: Protocol + Clone>(
+    bc: &Bicolored,
+    trace: &Trace,
+    strict: bool,
+    protocol: P,
+) -> RunReport {
     check_instance(bc, trace);
     let cfg = RunConfig {
         seed: trace.seed,
@@ -100,35 +105,19 @@ pub fn replay_elect(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
     } else {
         ReplayScheduler::new(trace.schedule.clone())
     };
-    try_run_gated_with(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-        &mut scheduler,
-    )
-    .expect("gated run failed")
+    let agents = vec![protocol; bc.r()];
+    try_run_sim_with(bc, cfg, &FaultPlan::none(), agents, &mut scheduler).expect("sim run failed")
+}
+
+/// Re-execute a recorded ELECT run (see `strict` above).
+pub fn replay_elect(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
+    replay(bc, trace, strict, ElectProtocol::default())
 }
 
 /// Re-execute a recorded anonymous ring-probe run (the §1.3
 /// impossibility counterexample lives in a committed trace).
 pub fn replay_ring_probe(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
-    check_instance(bc, trace);
-    let cfg = RunConfig {
-        seed: trace.seed,
-        record_trace: true,
-        ..RunConfig::default()
-    };
-    let mut scheduler = if strict {
-        ReplayScheduler::strict(trace.schedule.clone())
-    } else {
-        ReplayScheduler::new(trace.schedule.clone())
-    };
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
-    try_run_gated_with(bc, cfg, &FaultPlan::none(), agents, &mut scheduler)
-        .expect("gated run failed")
+    replay(bc, trace, strict, RingProbeProtocol)
 }
 
 /// The correctness property exploration checks, derived from the gcd
@@ -154,14 +143,14 @@ pub fn elect_oracle_check(bc: &Bicolored, report: &RunReport) -> Result<(), Stri
     }
 }
 
-/// An [`ExploreSession`] over ELECT's registry explore spec (gated
-/// engine, [`elect_oracle_check`] as the property) — the session
+/// An [`ExploreSession`] over ELECT's registry explore spec
+/// ([`elect_oracle_check`] as the property) — the session
 /// [`explore_elect`] runs, exposed so callers can also shrink and
 /// replay through it.
 pub fn elect_explore_session<'a>(bc: &'a Bicolored, run_cfg: RunConfig) -> ExploreSession<'a> {
     let entry = crate::registry::resolve("elect").expect("elect is registered");
     let spec = entry.explore.expect("elect is explorable");
-    ExploreSession::from_spec(spec, bc, run_cfg, Engine::Gated)
+    ExploreSession::from_spec(spec, bc, run_cfg)
 }
 
 /// Systematically explore ELECT schedules on `bc` under `run_cfg`'s
@@ -186,10 +175,9 @@ pub fn explore_elect_with_fault(
 ) -> ExploreReport {
     let session = ExploreSession::with_driver(
         run_cfg,
-        Engine::Gated,
         false,
-        move |cfg: &RunConfig, _engine, scheduler: &mut dyn Scheduler| {
-            try_run_gated_with(
+        move |cfg: &RunConfig, scheduler: &mut dyn Scheduler| {
+            try_run_sim_with(
                 bc,
                 *cfg,
                 &FaultPlan::none(),
@@ -202,17 +190,13 @@ pub fn explore_elect_with_fault(
     session.explore(explore_cfg)
 }
 
-/// Run ELECT under a [`FaultPlan`] through the unified front door, on
-/// either engine.
+/// Run ELECT under a [`FaultPlan`] through the unified front door.
 pub fn run_elect_with_plan(
     bc: &Bicolored,
     seed: u64,
-    engine: Engine,
     plan: &FaultPlan,
 ) -> Result<ElectionRun, RunError> {
-    let cfg = qelect_agentsim::RunConfig::new(seed)
-        .engine(engine)
-        .faults(plan.clone());
+    let cfg = qelect_agentsim::RunConfig::new(seed).faults(plan.clone());
     run_election(bc, &cfg)
 }
 
@@ -225,7 +209,7 @@ pub fn faulty_run_matches_oracle(bc: &Bicolored, run: &ElectionRun) -> Result<()
     elect_oracle_check(bc, &run.report)
 }
 
-/// Record a gated ELECT run under `plan`, then strictly replay the
+/// Record an ELECT run under `plan`, then strictly replay the
 /// recorded schedule with the identical plan. The pair must agree
 /// byte-for-byte (outcomes, trace, events, per-agent metrics, fault
 /// counters) — the determinism contract of schedule-addressed faults.
@@ -235,7 +219,6 @@ pub fn record_replay_elect_with_plan(
     plan: &FaultPlan,
 ) -> Result<(ElectionRun, ElectionRun), RunError> {
     let cfg = qelect_agentsim::RunConfig::new(seed)
-        .engine(Engine::Gated)
         .record_trace(true)
         .faults(plan.clone());
     let first = run_election(bc, &cfg)?;
@@ -244,7 +227,7 @@ pub fn record_replay_elect_with_plan(
     Ok((first, second))
 }
 
-/// Systematically explore gated schedules under a fixed [`FaultPlan`],
+/// Systematically explore schedules under a fixed [`FaultPlan`],
 /// checking [`elect_oracle_check`] — fault schedules join ordinary
 /// schedules as first-class explorable adversaries.
 pub fn explore_elect_with_plan(
@@ -255,10 +238,9 @@ pub fn explore_elect_with_plan(
 ) -> ExploreReport {
     let session = ExploreSession::with_driver(
         run_cfg,
-        Engine::Gated,
         false,
-        move |cfg: &RunConfig, _engine, scheduler: &mut dyn Scheduler| {
-            try_run_gated_with(
+        move |cfg: &RunConfig, scheduler: &mut dyn Scheduler| {
+            try_run_sim_with(
                 bc,
                 *cfg,
                 plan,
@@ -272,16 +254,11 @@ pub fn explore_elect_with_plan(
 }
 
 /// ddmin-shrink a fault plan whose run violates the oracle property (or
-/// errors) on `bc` under `engine` — the fault-schedule analogue of
+/// errors) on `bc` — the fault-schedule analogue of
 /// [`shrink_schedule`](qelect_agentsim::explore::shrink_schedule).
-pub fn shrink_failing_plan(
-    bc: &Bicolored,
-    seed: u64,
-    engine: Engine,
-    plan: &FaultPlan,
-) -> FaultPlan {
+pub fn shrink_failing_plan(bc: &Bicolored, seed: u64, plan: &FaultPlan) -> FaultPlan {
     shrink_plan(plan, |candidate| {
-        match run_elect_with_plan(bc, seed, engine, candidate) {
+        match run_elect_with_plan(bc, seed, candidate) {
             Ok(run) => faulty_run_matches_oracle(bc, &run).is_err(),
             Err(_) => true,
         }
@@ -302,14 +279,14 @@ pub fn elect_schedule_fails(
         ..run_cfg
     };
     let mut scheduler = ReplayScheduler::new(schedule.to_vec());
-    let report = try_run_gated_with(
+    let report = try_run_sim_with(
         bc,
         run_cfg,
         &FaultPlan::none(),
         elect_agents(bc.r(), fault),
         &mut scheduler,
     )
-    .expect("gated run failed");
+    .expect("sim run failed");
     elect_oracle_check(bc, &report).is_err()
 }
 
@@ -380,13 +357,13 @@ mod tests {
             seed: 4,
             ..RunConfig::default()
         };
-        let report = run_gated_faulty(
+        let report = run_sim_faulty(
             &bc,
             cfg,
             &FaultPlan::none(),
             elect_agents(bc.r(), ElectFault::default()),
         )
-        .expect("gated run failed");
+        .expect("sim run failed");
         assert!(elect_oracle_check(&bc, &report).is_ok());
 
         // A doctored report claiming two leaders must be rejected.

@@ -7,8 +7,8 @@
 //! whiteboard access per activation, explicit state in fields. The same
 //! value therefore runs
 //!
-//! * natively on a mobile-agent engine via
-//!   [`qelect_agentsim::stepagent::drive`], and
+//! * natively on the mobile-agent engine via
+//!   [`qelect_agentsim::stepagent::drive`] ([`QuantMachineProtocol`]), and
 //! * as a **message** on the anonymous processor network of
 //!   [`qelect_agentsim::message_net::MessageNet`] — the paper's Fig. 1
 //!   construction, where "a message is an agent `(P, M)`".
@@ -17,8 +17,8 @@
 //! two executions elect the same agent on every instance.
 
 use crate::map::AgentMap;
-use qelect_agentsim::stepagent::{StepAction, StepAgent, StepEnv};
-use qelect_agentsim::{AgentOutcome, LocalPort, SignKind};
+use qelect_agentsim::stepagent::{drive, StepAction, StepAgent, StepEnv};
+use qelect_agentsim::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync, Protocol, SignKind};
 
 /// The `Custom` kind carrying the quantitative label (payload `[id]`) —
 /// shared with [`crate::quantitative::ID_SIGN`].
@@ -168,28 +168,32 @@ impl StepAgent for QuantMachine {
     }
 }
 
+/// A fresh [`QuantMachine`] driven natively on the mobile runtime, by
+/// the agent labeled `id` (a restarted agent starts a new machine).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuantMachineProtocol {
+    /// The agent's label.
+    pub id: u64,
+}
+
+impl Protocol for QuantMachineProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        drive(&mut QuantMachine::new(self.id), ctx).await
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig};
     use qelect_agentsim::message_net::MessageNet;
-    use qelect_agentsim::stepagent::drive;
-    use qelect_agentsim::FaultPlan;
+    use qelect_agentsim::{run_each, RunConfig};
     use qelect_graph::{families, Bicolored};
 
     fn native_leader(bc: &Bicolored, ids: &[u64], seed: u64) -> Option<usize> {
-        let agents: Vec<GatedAgent> = ids
-            .iter()
-            .map(|&id| -> GatedAgent {
-                Box::new(move |ctx| drive(&mut QuantMachine::new(id), ctx))
-            })
-            .collect();
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
-        };
-        let report =
-            run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed");
+        let agents = ids.iter().map(|&id| QuantMachineProtocol { id }).collect();
+        let report = run_each(bc, &RunConfig::new(seed), agents)
+            .expect("sim run failed")
+            .report;
         assert!(report.clean_election(), "{:?}", report.outcomes);
         report.leader
     }

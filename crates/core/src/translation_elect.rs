@@ -30,9 +30,9 @@
 //! extra communication is needed for the impossibility branch.
 
 use crate::elect::{compute_local_view_async, elect_from_view_async};
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
+use qelect_agentsim::sim::{run_sim_faulty, RunConfig, RunReport};
 use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync};
 use qelect_group::recognition::{regular_subgroups, RecognitionBudget};
 
 /// Outcome of the local Cayley analysis on the drawn map.
@@ -69,23 +69,6 @@ pub fn analyze_cayley(bc: &qelect_graph::Bicolored, budget: RecognitionBudget) -
             }
         }
     }
-}
-
-/// The effectual protocol for Cayley graphs, run by one agent.
-pub fn translation_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    translation_elect_with_budget(ctx, RecognitionBudget::default())
-}
-
-/// [`translation_elect`] with an explicit recognition budget (blocking
-/// adapter over [`translation_elect_async_with_budget`]).
-pub fn translation_elect_with_budget<C: MobileCtx>(
-    ctx: &mut C,
-    budget: RecognitionBudget,
-) -> Result<AgentOutcome, Interrupt> {
-    poll_now(translation_elect_async_with_budget(
-        &mut SyncCtx(ctx),
-        budget,
-    ))
 }
 
 /// The effectual protocol for Cayley graphs, run by one agent.
@@ -139,12 +122,10 @@ impl qelect_agentsim::Protocol for TranslationElectProtocol {
     }
 }
 
-/// Run the effectual Cayley protocol with the gated engine.
+/// Run the effectual Cayley protocol.
 pub fn run_translation_elect(bc: &qelect_graph::Bicolored, cfg: RunConfig) -> RunReport {
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(translation_elect) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    let agents = vec![TranslationElectProtocol; bc.r()];
+    run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 #[cfg(test)]

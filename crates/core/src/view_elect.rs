@@ -24,19 +24,18 @@
 //!   labeling and unsolvable under a symmetric one, whereas ELECT's
 //!   verdict is labeling-invariant.
 
-use crate::mapdraw::map_drawing;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtx};
+use crate::mapdraw::map_drawing_async;
+use qelect_agentsim::{
+    AgentOutcome, ElectionRun, Interrupt, MobileCtxAsync, Protocol, RunConfig, RunError,
+};
 use qelect_graph::view::ViewTree;
 use qelect_graph::Bicolored;
 
 /// The view-ordered election protocol (quantitative port labels).
-pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    let map = map_drawing(ctx)?;
+pub async fn view_elect_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+    let map = map_drawing_async(ctx).await?;
     let bc = map.to_bicolored();
     let depth = bc.n().saturating_sub(1); // Norris depth
-    let me = ctx.color();
     let my_home = 0usize;
 
     // Views of every home-base, compared by the total order on trees.
@@ -57,7 +56,6 @@ pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> 
         // Minimal view shared: the labeling does not break the symmetry.
         return Ok(AgentOutcome::Unsolvable);
     }
-    let _ = me;
     Ok(if owners[0] == my_home {
         AgentOutcome::Leader
     } else {
@@ -65,14 +63,21 @@ pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> 
     })
 }
 
+/// The view-ordered protocol as a [`Protocol`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ViewElectProtocol;
+
+impl Protocol for ViewElectProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        view_elect_async(ctx).await
+    }
+}
+
 /// Run the view-ordered protocol. Port scrambling is disabled: the
 /// quantitative model gives every agent the same integer port labels.
-pub fn run_view_elect(bc: &Bicolored, mut cfg: RunConfig) -> RunReport {
-    cfg.scramble_ports = false;
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(view_elect) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+pub fn run_view_elect(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
+    let cfg = cfg.clone().scramble_ports(false);
+    qelect_agentsim::run(bc, &cfg, &ViewElectProtocol)
 }
 
 #[cfg(test)]
@@ -83,7 +88,7 @@ mod tests {
     #[test]
     fn elects_on_asymmetric_placement_without_ids() {
         let bc = Bicolored::new(families::cycle(7).unwrap(), &[0, 1, 3]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view_elect(&bc, &RunConfig::default()).unwrap().report;
         assert!(report.clean_election(), "{:?}", report.outcomes);
     }
 
@@ -92,7 +97,7 @@ mod tests {
         // C6 antipodal under the rotation-invariant Cayley labeling: the
         // two home-bases have identical views.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view_elect(&bc, &RunConfig::default()).unwrap().report;
         assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes);
     }
 
@@ -120,7 +125,7 @@ mod tests {
             part.class[0], part.class[3],
             "labeling must split the homes"
         );
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view_elect(&bc, &RunConfig::default()).unwrap().report;
         assert!(
             report.clean_election(),
             "asymmetric labeling must allow view election: {:?}",
@@ -131,7 +136,7 @@ mod tests {
     #[test]
     fn single_agent_trivially_wins() {
         let bc = Bicolored::new(families::petersen().unwrap(), &[4]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view_elect(&bc, &RunConfig::default()).unwrap().report;
         assert_eq!(report.leader, Some(0));
     }
 
@@ -149,7 +154,7 @@ mod tests {
             classes.sort_unstable();
             classes.dedup();
             let distinct = classes.len() == hbs.len();
-            let report = run_view_elect(&bc, RunConfig::default());
+            let report = run_view_elect(&bc, &RunConfig::default()).unwrap().report;
             if distinct {
                 assert!(report.clean_election(), "{hbs:?}: {:?}", report.outcomes);
             } else {

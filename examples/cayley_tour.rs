@@ -49,7 +49,7 @@ fn main() {
                 sub.translation_gcd(bc.homebases())
             );
         }
-        let report = run_translation_elect(&bc, RunConfig::default().to_gated());
+        let report = run_translation_elect(&bc, RunConfig::default().to_sim());
         println!("   protocol verdict: {:?}\n", report.outcomes[0]);
     }
 

@@ -30,7 +30,9 @@ fn main() {
     println!("\nthe bespoke five-step protocol (mark a neighbor, find the");
     println!("other's mark, race for the unique common neighbor):");
     for seed in 0..3 {
-        let report = run_petersen(&bc, RunConfig::new(seed).to_gated());
+        let report = run_petersen(&bc, &RunConfig::new(seed))
+            .expect("run completes")
+            .report;
         println!(
             "  seed {seed}: leader = agent {:?} ({} moves)",
             report.leader.expect("the duel always crowns someone"),

@@ -40,11 +40,11 @@ fn main() {
     // ---- Part 2: anonymity is fatal ----
     println!("Part 2 — the §1.3 anonymous-agents impossibility\n");
     let lone = Bicolored::new(families::cycle(3).unwrap(), &[0]).unwrap();
-    let report = run_ring_probe(&lone, RunConfig::default().to_gated());
+    let report = run_ring_probe(&lone, RunConfig::default().to_sim());
     println!("C3, lone agent: {:?} (correct)", report.outcomes);
 
     let twins = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-    let cfg = RunConfig::new(0).policy(Policy::Lockstep).to_gated();
+    let cfg = RunConfig::new(0).policy(Policy::Lockstep).to_sim();
     let report = run_ring_probe(&twins, cfg);
     let leaders = report
         .outcomes

@@ -35,7 +35,9 @@ fn main() {
     );
 
     // Election + gathering.
-    let report = run_gather(&instance, RunConfig::default().to_gated());
+    let report = run_gather(&instance, &RunConfig::default())
+        .expect("run completes")
+        .report;
     assert!(report.clean_election(), "{:?}", report.outcomes);
     println!(
         "election + gathering: leader = agent {:?}, {} moves",
@@ -50,7 +52,9 @@ fn main() {
 
     // And on an unsolvable instance, gathering honestly fails too.
     let sym = Bicolored::new(families::torus(&[4, 4]).unwrap(), &[0, 10]).unwrap();
-    let report = run_gather(&sym, RunConfig::default().to_gated());
+    let report = run_gather(&sym, &RunConfig::default())
+        .expect("run completes")
+        .report;
     println!(
         "\n4x4 torus, antipodal pair → {:?} (no leader, no rendezvous point)",
         report.outcomes[0]

@@ -1,22 +1,23 @@
-//! Differential acceptance for the discrete-event sim engine: on every
-//! workload the repo can express, `Engine::Sim` must be byte-identical
-//! to `Engine::Gated` — same outcomes, leader, gcd verdict, per-phase
-//! span metrics, per-agent counters, fault counters, recorded schedule,
-//! event log, and serialized `qelect-trace/1` artifact. The gated
-//! engine is the oracle; the sim engine is the thing on trial.
+//! Acceptance for the discrete-event sim engine against independent
+//! references: the gcd oracle, the committed trace corpus, and its own
+//! reruns — same outcomes, leader, per-phase span metrics, per-agent
+//! counters, fault counters, recorded schedule, event log, and
+//! serialized `qelect-trace/1` artifact.
 //!
-//! Coverage, mirroring the PR's acceptance list:
-//! * a fixed cross-family suite and a proptest sweep over random
-//!   instances × seeds × generated fault plans;
-//! * recorded gated schedules strictly replayed on sim;
+//! Coverage:
+//! * a proptest sweep over random instances × seeds × generated fault
+//!   plans against the gcd oracle;
 //! * every committed `tests/traces/*.json` regression witness (the §1.3
-//!   C6 double election and the ddmin-shrunk C8/C10/C12 corpus),
-//!   round-trip-pinned byte-for-byte and replayed on both engines;
+//!   C6 double election and the ddmin-shrunk C8–C14 corpus),
+//!   round-trip-pinned byte-for-byte and strictly replayed;
 //! * the canonical-form cache's state (cold / warm / disabled) and its
 //!   forced-collision fallback paths;
 //! * `RunError`/interrupt surfaces (restart-budget abort, checkpoint
-//!   recovery) under sim;
+//!   recovery);
 //! * a 10⁴-node election inside a tier-1 wall-clock budget.
+//!
+//! Every registry protocol's event log is also pinned against recorded
+//! digests in `tests/integration_elect.rs`.
 
 use proptest::prelude::*;
 use qelect::anonymous::RingProbeProtocol;
@@ -32,10 +33,9 @@ use qelect_graph::surrounding::{classes_from_canon, ordered_classes};
 use qelect_graph::{families, Bicolored, ColoredDigraph};
 
 /// Everything two identical runs must share, formatted for assert_eq
-/// diffs (the shape `tests/integration_faults.rs` pins for replays,
-/// reused here for the cross-engine contract). Cache counters are
-/// process-global and deliberately excluded: the differential claim is
-/// about run behavior, not memo traffic.
+/// diffs (the shape `tests/integration_faults.rs` pins for replays).
+/// Cache counters are process-global and deliberately excluded: the
+/// claim is about run behavior, not memo traffic.
 fn fingerprint(report: &RunReport) -> String {
     let spans: Vec<String> = report
         .metrics
@@ -58,27 +58,14 @@ fn fingerprint(report: &RunReport) -> String {
     )
 }
 
-/// Run crash-free ELECT with recording on both engines and assert the
-/// full fingerprint AND the serialized `qelect-trace/1` artifact agree
-/// byte-for-byte. Returns the gated run for further checks.
-fn assert_elect_differential(bc: &Bicolored, seed: u64, label: &str) -> ElectionRun {
-    let gated = run_election(bc, &RunConfig::new(seed).record_trace(true)).unwrap();
-    let sim = run_election(
-        bc,
-        &RunConfig::new(seed).engine(Engine::Sim).record_trace(true),
+/// Crash-free ELECT with recording on: its fingerprint and its
+/// serialized `qelect-trace/1` artifact.
+fn recorded_elect(bc: &Bicolored, seed: u64, label: &str) -> (String, String) {
+    let run = run_election(bc, &RunConfig::new(seed).record_trace(true)).unwrap();
+    (
+        fingerprint(&run.report),
+        run.report.to_trace(bc, seed, label).to_json(),
     )
-    .unwrap();
-    assert_eq!(
-        fingerprint(&gated.report),
-        fingerprint(&sim.report),
-        "{label} seed {seed}"
-    );
-    assert_eq!(
-        gated.report.to_trace(bc, seed, label).to_json(),
-        sim.report.to_trace(bc, seed, label).to_json(),
-        "{label} seed {seed}: qelect-trace/1 artifacts must be byte-identical"
-    );
-    gated
 }
 
 fn suite() -> Vec<(&'static str, Bicolored)> {
@@ -108,21 +95,6 @@ fn suite() -> Vec<(&'static str, Bicolored)> {
             Bicolored::new(families::circulant(12, &[1, 3]).unwrap(), &[0, 1, 3]).unwrap(),
         ),
     ]
-}
-
-#[test]
-fn fixed_suite_is_byte_identical_across_engines() {
-    for (label, bc) in suite() {
-        let solvable = elect_succeeds(&bc);
-        for seed in [0u64, 1, 2] {
-            let gated = assert_elect_differential(&bc, seed, label);
-            assert_eq!(
-                gated.clean_election(),
-                solvable,
-                "{label} seed {seed}: verdict must match the gcd oracle"
-            );
-        }
-    }
 }
 
 /// A deterministic pseudo-random instance: one of five graph shapes plus
@@ -159,7 +131,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn random_instances_seeds_and_plans_match_gated(
+    fn random_instances_seeds_and_plans_meet_the_oracle(
         kind in any::<u8>(),
         size in any::<u8>(),
         agent_seed in any::<u64>(),
@@ -168,38 +140,15 @@ proptest! {
         crashes in 0usize..3,
         delays in 0usize..2,
     ) {
+        // Generated plans keep the eventually-restarting regime, so the
+        // run must agree with the gcd oracle, and a rerun must repeat it.
         let bc = diverse_instance(kind, size, agent_seed);
         let plan = FaultPlan::generate(plan_seed, bc.r(), 25, crashes, delays);
-        let gated = run_elect_with_plan(&bc, seed, Engine::Gated, &plan).unwrap();
-        let sim = run_elect_with_plan(&bc, seed, Engine::Sim, &plan).unwrap();
-        prop_assert_eq!(fingerprint(&gated.report), fingerprint(&sim.report));
-        // Generated plans keep the eventually-restarting regime, so both
-        // engines must also agree with the gcd oracle.
-        faulty_run_matches_oracle(&bc, &sim)
+        let run = run_elect_with_plan(&bc, seed, &plan).unwrap();
+        faulty_run_matches_oracle(&bc, &run)
             .map_err(|e| TestCaseError::fail(format!("sim vs oracle: {e}")))?;
-    }
-
-    #[test]
-    fn recorded_gated_schedules_replay_identically_on_sim(
-        kind in any::<u8>(),
-        size in any::<u8>(),
-        agent_seed in any::<u64>(),
-        seed in 0u64..1000,
-    ) {
-        // The schedule-addressing contract: a schedule recorded on the
-        // gated engine, strictly replayed on the sim engine, reproduces
-        // the run byte-for-byte — sim steps ARE gated steps.
-        let bc = diverse_instance(kind, size, agent_seed);
-        let cfg = RunConfig::new(seed).record_trace(true);
-        let recorded = run_election(&bc, &cfg).unwrap();
-        let replayed = run_election(
-            &bc,
-            &cfg.clone()
-                .engine(Engine::Sim)
-                .replay(recorded.report.trace.clone(), true),
-        )
-        .unwrap();
-        prop_assert_eq!(fingerprint(&recorded.report), fingerprint(&replayed.report));
+        let again = run_elect_with_plan(&bc, seed, &plan).unwrap();
+        prop_assert_eq!(fingerprint(&run.report), fingerprint(&again.report));
     }
 }
 
@@ -228,69 +177,56 @@ fn committed_corpus_replays_byte_identically_under_sim() {
         assert_eq!(trace.nodes, n, "{name}");
 
         let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, n / 2]).unwrap();
-        let mut reports = Vec::new();
-        for engine in [Engine::Gated, Engine::Sim] {
-            let cfg = RunConfig::new(trace.seed)
-                .engine(engine)
-                .record_trace(true)
-                .replay(trace.schedule.clone(), true);
-            let run = qelect_agentsim::run(&bc, &cfg, &RingProbeProtocol)
-                .unwrap_or_else(|e| panic!("{name} {}: {e}", engine.name()));
-            let leaders = run
-                .report
-                .outcomes
-                .iter()
-                .filter(|o| **o == AgentOutcome::Leader)
-                .count();
-            assert_eq!(
-                leaders,
-                2,
-                "{name} {}: the witness double-elects",
-                engine.name()
-            );
-            assert_eq!(
-                run.report.trace,
-                trace.schedule,
-                "{name} {}: schedule re-recorded",
-                engine.name()
-            );
-            assert_eq!(
-                run.report.events,
-                trace.events,
-                "{name} {}: event log re-recorded",
-                engine.name()
-            );
-            reports.push(run.report);
-        }
+        let cfg = RunConfig::new(trace.seed)
+            .record_trace(true)
+            .replay(trace.schedule.clone(), true);
+        let run = qelect_agentsim::run(&bc, &cfg, &RingProbeProtocol)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let leaders = run
+            .report
+            .outcomes
+            .iter()
+            .filter(|o| **o == AgentOutcome::Leader)
+            .count();
+        assert_eq!(leaders, 2, "{name}: the witness double-elects");
         assert_eq!(
-            fingerprint(&reports[0]),
-            fingerprint(&reports[1]),
-            "{name}: gated vs sim"
+            run.report.trace, trace.schedule,
+            "{name}: schedule re-recorded"
         );
         assert_eq!(
-            reports[0].to_trace(&bc, trace.seed, &trace.label).to_json(),
-            reports[1].to_trace(&bc, trace.seed, &trace.label).to_json(),
-            "{name}: re-emitted qelect-trace/1 artifacts"
+            run.report.events, trace.events,
+            "{name}: event log re-recorded"
+        );
+        // The replaying scheduler names itself; every other field of the
+        // re-emitted artifact is the committed one.
+        let reemitted = Trace {
+            policy: trace.policy.clone(),
+            ..run.report.to_trace(&bc, trace.seed, &trace.label)
+        };
+        assert_eq!(
+            reemitted.to_json(),
+            text,
+            "{name}: re-emitted qelect-trace/1 artifact"
         );
     }
 }
 
 #[test]
 fn cache_state_never_perturbs_the_differential() {
-    // The canonical-form memo is a pure accelerator: the cross-engine
-    // fingerprint must be the same whether the global cache is cold,
-    // warm, or disabled — and identical across the three states. All
-    // global-flag manipulation stays inside this one test.
+    // The canonical-form memo is a pure accelerator: the fingerprint and
+    // the trace artifact must be identical whether the global cache is
+    // cold, warm, or disabled. All global-flag manipulation stays inside
+    // this one test.
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
     cache::global().set_enabled(true);
     cache::global().clear();
-    let cold = assert_elect_differential(&bc, 5, "cold cache");
-    let warm = assert_elect_differential(&bc, 5, "warm cache");
+    let cold = recorded_elect(&bc, 5, "cache state");
+    let warm = recorded_elect(&bc, 5, "cache state");
     cache::global().set_enabled(false);
-    let uncached = assert_elect_differential(&bc, 5, "disabled cache");
+    let uncached = recorded_elect(&bc, 5, "cache state");
     cache::global().set_enabled(true);
-    assert_eq!(fingerprint(&cold.report), fingerprint(&warm.report));
-    assert_eq!(fingerprint(&cold.report), fingerprint(&uncached.report));
+    assert_eq!(cold, warm);
+    assert_eq!(cold, uncached);
 }
 
 #[test]
@@ -299,8 +235,8 @@ fn forced_collision_cache_paths_stay_exact() {
     // lookup walks the collision chain AND evicts — the two fallback
     // paths the global cache hits only rarely. The class structure that
     // feeds ELECT's COMPUTE & ORDER must come back exact anyway, which
-    // is what makes the cross-engine differential immune to cache
-    // collisions by construction.
+    // is what makes elections immune to cache collisions by
+    // construction.
     fn constant(_: &[u64]) -> u64 {
         0
     }
@@ -318,10 +254,11 @@ fn forced_collision_cache_paths_stay_exact() {
         "capacity 1 must evict across {} distinct instances: {stats:?}",
         instances.len()
     );
-    // And the engines still agree on the very instances that just
-    // exercised the collision fallback.
+    // And ELECT still meets the gcd oracle on the very instances that
+    // just exercised the collision fallback.
     for (label, bc) in &instances {
-        assert_elect_differential(bc, 9, label);
+        let run = run_election(bc, &RunConfig::new(9)).unwrap();
+        assert_eq!(run.clean_election(), elect_succeeds(bc), "{label}");
     }
 }
 
@@ -338,12 +275,7 @@ fn sim_elects_on_ten_thousand_nodes_within_budget() {
     let bc = Bicolored::new(families::cycle(n).unwrap(), &[0]).unwrap();
     let budget = std::time::Duration::from_secs(30);
     let t0 = std::time::Instant::now();
-    let sim = qelect_agentsim::run(
-        &bc,
-        &RunConfig::new(0).engine(Engine::Sim).record_trace(true),
-        &RingProbeProtocol,
-    )
-    .unwrap();
+    let sim = qelect_agentsim::run(&bc, &RunConfig::new(0), &RingProbeProtocol).unwrap();
     let elapsed = t0.elapsed();
     assert!(
         sim.clean_election(),
@@ -354,15 +286,11 @@ fn sim_elects_on_ten_thousand_nodes_within_budget() {
         elapsed < budget,
         "10⁴-node sim election took {elapsed:?} (budget {budget:?})"
     );
-    // The gated engine stays the oracle even at this scale (it is ~10×
-    // slower per step but the probe is step-light).
-    let gated = qelect_agentsim::run(
-        &bc,
-        &RunConfig::new(0).record_trace(true),
-        &RingProbeProtocol,
-    )
-    .unwrap();
-    assert_eq!(fingerprint(&gated.report), fingerprint(&sim.report));
+    assert_eq!(
+        sim.report.metrics.total_moves(),
+        n as u64,
+        "one full circuit"
+    );
 }
 
 #[test]
@@ -370,8 +298,7 @@ fn checkpoint_recovery_is_idempotent_under_sim() {
     // Crash-with-restart on the sim engine: the restarted incarnation
     // recovers from its journaled checkpoint, the run still elects, and
     // re-running the identical (instance, seed, plan) any number of
-    // times is byte-identical — recovery adds no hidden state. The
-    // gated engine must produce the very same bytes.
+    // times is byte-identical — recovery adds no hidden state.
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
     let plan = FaultPlan {
         events: vec![FaultEvent {
@@ -382,13 +309,11 @@ fn checkpoint_recovery_is_idempotent_under_sim() {
         recovery: Default::default(),
     };
     let runs: Vec<ElectionRun> = (0..3)
-        .map(|_| run_elect_with_plan(&bc, 4, Engine::Sim, &plan).unwrap())
+        .map(|_| run_elect_with_plan(&bc, 4, &plan).unwrap())
         .collect();
     for run in &runs[1..] {
         assert_eq!(fingerprint(&runs[0].report), fingerprint(&run.report));
     }
-    let gated = run_elect_with_plan(&bc, 4, Engine::Gated, &plan).unwrap();
-    assert_eq!(fingerprint(&gated.report), fingerprint(&runs[0].report));
     assert!(runs[0].clean_election(), "{:?}", runs[0].report.outcomes);
     assert_eq!(runs[0].faults.crashes, 1);
     assert_eq!(runs[0].faults.restarts, 1);
@@ -402,7 +327,7 @@ fn checkpoint_recovery_is_idempotent_under_sim() {
         "the restarted incarnation must attribute its catch-up work"
     );
     // The crash-free verdict is unchanged by the recovered crash.
-    let crash_free = run_election(&bc, &RunConfig::new(4).engine(Engine::Sim)).unwrap();
+    let crash_free = run_election(&bc, &RunConfig::new(4)).unwrap();
     assert_eq!(runs[0].clean_election(), crash_free.clean_election());
 }
 
@@ -410,7 +335,7 @@ fn checkpoint_recovery_is_idempotent_under_sim() {
 fn restart_budget_abort_is_typed_and_identical_under_sim() {
     // Exhausting the restart budget must surface as the typed
     // Interrupted(Crashed) outcome — never a hang or panic — with the
-    // same bytes on both engines.
+    // same bytes on every rerun.
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
     let plan = FaultPlan {
         events: vec![
@@ -430,12 +355,12 @@ fn restart_budget_abort_is_typed_and_identical_under_sim() {
             ..Default::default()
         },
     };
-    let sim = run_elect_with_plan(&bc, 0, Engine::Sim, &plan).unwrap();
-    let gated = run_elect_with_plan(&bc, 0, Engine::Gated, &plan).unwrap();
+    let sim = run_elect_with_plan(&bc, 0, &plan).unwrap();
+    let again = run_elect_with_plan(&bc, 0, &plan).unwrap();
     assert_eq!(
         sim.report.outcomes[0],
         AgentOutcome::Interrupted(Interrupt::Crashed)
     );
     assert_eq!(sim.faults.aborted, 1);
-    assert_eq!(fingerprint(&gated.report), fingerprint(&sim.report));
+    assert_eq!(fingerprint(&again.report), fingerprint(&sim.report));
 }

@@ -3,9 +3,8 @@
 //! Pins three things end to end:
 //!
 //! 1. **Theorem 3.1** — `total_work ≤ c·r·|E|` on cycles and the
-//!    Petersen graph, under *both* the gated and the sim engine, with
-//!    the generous-but-finite envelope constant the paper's O(r·|E|)
-//!    bound promises exists.
+//!    Petersen graph, with the generous-but-finite envelope constant the
+//!    paper's O(r·|E|) bound promises exists.
 //! 2. **Attribution exactness** — the per-phase rows of every audited
 //!    instance sum exactly to the run totals (the span invariant,
 //!    observed through the full `run_audit` pipeline rather than a unit
@@ -14,7 +13,6 @@
 //!    baseline parser and the gate accepts/rejects as configured, the
 //!    same path `qelectctl audit` and CI exercise.
 
-use qelect_agentsim::Engine;
 use qelect_bench::report::{check_against_baseline, run_audit, AuditConfig, AuditInstance};
 use qelect_graph::families;
 
@@ -43,18 +41,17 @@ fn audit_instances() -> Vec<AuditInstance> {
     ]
 }
 
-fn config(engines: Vec<Engine>) -> AuditConfig {
+fn config() -> AuditConfig {
     AuditConfig {
         instances: audit_instances(),
         seeds: vec![0, 1],
-        engines,
         ..AuditConfig::default()
     }
 }
 
 #[test]
-fn theorem_3_1_bound_holds_under_the_gated_engine() {
-    let report = run_audit(&config(vec![Engine::Gated])).unwrap();
+fn theorem_3_1_bound_holds_under_the_sim_engine() {
+    let report = run_audit(&config()).unwrap();
     for inst in &report.instances {
         assert!(
             inst.fitted_c <= C_ENVELOPE,
@@ -67,21 +64,8 @@ fn theorem_3_1_bound_holds_under_the_gated_engine() {
 }
 
 #[test]
-fn theorem_3_1_bound_holds_under_the_sim_engine() {
-    let report = run_audit(&config(vec![Engine::Sim])).unwrap();
-    for inst in &report.instances {
-        assert!(
-            inst.fitted_c <= C_ENVELOPE,
-            "{}: fitted c = {:.2} blows the O(r·|E|) envelope {C_ENVELOPE}",
-            inst.key,
-            inst.fitted_c
-        );
-    }
-}
-
-#[test]
 fn phase_totals_sum_to_run_totals_on_every_instance() {
-    let report = run_audit(&config(Engine::ALL.to_vec())).unwrap();
+    let report = run_audit(&config()).unwrap();
     for inst in &report.instances {
         let sum = inst.phases.iter().fold((0u64, 0u64, 0u64), |acc, p| {
             (acc.0 + p.moves, acc.1 + p.accesses, acc.2 + p.waits)
@@ -108,7 +92,7 @@ fn phase_totals_sum_to_run_totals_on_every_instance() {
 
 #[test]
 fn json_report_gates_like_the_ci_job() {
-    let report = run_audit(&config(vec![Engine::Gated])).unwrap();
+    let report = run_audit(&config()).unwrap();
     let json = report.to_json();
     // Self-comparison passes (tiny tolerance absorbs serialization
     // rounding); a baseline claiming half the constant regresses.

@@ -3,24 +3,16 @@
 
 use qelect::prelude::*;
 use qelect::solvability::{election_possible_cayley, impossible_by_thm21};
-// The effectual/bespoke drivers (`run_translation_elect`, `run_petersen`)
-// are gated-engine specific, so this file uses the gated config.
-use qelect_agentsim::gated::RunConfig;
+// `run_translation_elect` takes the engine's per-run config.
+use qelect_agentsim::sim::RunConfig;
 use qelect_agentsim::AgentOutcome;
 use qelect_graph::{families, Bicolored};
 use qelect_group::marking::{marking_schedule, verify_witness_labeling};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 use qelect_group::recognition::RecognitionBudget;
 use qelect_group::CayleyGraph;
@@ -137,7 +129,9 @@ fn petersen_divergence_elect_fails_bespoke_succeeds() {
         .all(|o| *o == AgentOutcome::Undecided));
 
     // 3. The bespoke protocol elects.
-    let bespoke = qelect::petersen::run_petersen(&bc, RunConfig::default());
+    let bespoke = qelect::petersen::run_petersen(&bc, &qelect_agentsim::RunConfig::default())
+        .unwrap()
+        .report;
     assert!(bespoke.clean_election(), "{:?}", bespoke.outcomes);
 }
 

@@ -1,5 +1,5 @@
 //! Cross-crate integration: Protocol ELECT against the solvability
-//! oracles, across graph families, placements, schedulers and engines.
+//! oracles, across graph families, placements and schedulers.
 
 use qelect::prelude::*;
 use qelect::solvability::{elect_succeeds, gcd_of_class_sizes};
@@ -131,7 +131,9 @@ fn quantitative_baseline_is_universal_where_elect_fails() {
     // Table 1, quantitative row: success even on the gcd > 1 instances.
     for (label, bc) in suite() {
         let ids: Vec<u64> = (0..bc.r() as u64).map(|i| 100 + 7 * i).collect();
-        let report = run_quantitative(&bc, RunConfig::default().to_gated(), &ids);
+        let report = run_quantitative(&bc, &RunConfig::default(), &ids)
+            .unwrap()
+            .report;
         assert!(
             report.clean_election(),
             "{label}: quantitative must be universal, got {:?}",
@@ -185,7 +187,7 @@ fn gathering_inherits_election_verdicts() {
     use qelect::gathering::run_gather;
     for (label, bc) in suite() {
         let expected = elect_succeeds(&bc);
-        let report = run_gather(&bc, RunConfig::default().to_gated());
+        let report = run_gather(&bc, &RunConfig::default()).unwrap().report;
         assert_eq!(
             report.clean_election(),
             expected,
@@ -261,11 +263,9 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 
 #[test]
 fn elect_event_logs_match_the_parent() {
-    // Both engines run one kernel, so the engine differential compares
-    // that kernel with itself: a wrong port translation, a different
-    // (still shortest) route or another valid scramble could pass it and
-    // even keep the audit's move counts. This pins the full sim event
-    // log, the per-agent costs and the outcomes of every suite instance
+    // A wrong port translation, a different (still shortest) route or
+    // another valid scramble could keep every oracle verdict and even the
+    // audit's move counts. This pins the full event log, the per-agent costs and the outcomes of every suite instance
     // over seeds 0–2, scrambling on and off, crash-free and with one
     // crash-restart of agent 0. The digests were recorded before the
     // kernel's flat-topology rewrite; any change to the protocol's
@@ -299,7 +299,6 @@ fn elect_event_logs_match_the_parent() {
             for scramble in [true, false] {
                 for plan in [FaultPlan::none(), crash.clone()] {
                     let cfg = RunConfig::new(seed)
-                        .engine(Engine::Sim)
                         .scramble_ports(scramble)
                         .record_trace(true)
                         .faults(plan);
@@ -342,23 +341,18 @@ fn placed(g: qelect_graph::Graph, homes: &[usize]) -> Bicolored {
 /// ELECT with only `initiator` awake: everyone else sleeps at home until
 /// a sign other than its `HomeBase` mark appears there.
 fn staggered_elect(bc: &Bicolored, cfg: &RunConfig, initiator: usize) -> RunReport {
-    use qelect_agentsim::gated::{run_gated_staggered, GatedAgent};
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(qelect::elect::elect) })
-        .collect();
-    run_gated_staggered(bc, cfg.to_gated(), agents, &[initiator])
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    qelect_agentsim::run_staggered(bc, cfg.to_sim(), agents, &[initiator]).unwrap()
 }
 
 /// The quantitative state machine driven natively, agent `i` with label
 /// `100 + i`.
 fn quant_machine_native(bc: &Bicolored, cfg: &RunConfig) -> RunReport {
-    use qelect::stepquant::QuantMachine;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent};
-    use qelect_agentsim::stepagent::drive;
-    let agents: Vec<GatedAgent> = (0..bc.r() as u64)
-        .map(|i| -> GatedAgent { Box::new(move |ctx| drive(&mut QuantMachine::new(100 + i), ctx)) })
+    use qelect::stepquant::QuantMachineProtocol;
+    let agents = (0..bc.r() as u64)
+        .map(|i| QuantMachineProtocol { id: 100 + i })
         .collect();
-    run_gated_faulty(bc, cfg.to_gated(), &FaultPlan::none(), agents).unwrap()
+    qelect_agentsim::run_each(bc, cfg, agents).unwrap().report
 }
 
 #[test]

@@ -8,11 +8,10 @@ use qelect::prelude::*;
 use qelect::replay::{elect_schedule_fails, explore_elect_with_fault};
 use qelect::solvability::{elect_succeeds, gcd_of_class_sizes};
 use qelect_agentsim::explore::shrink_trace;
-// The exploration drivers are gated-engine specific (schedule trees only
-// exist under the deterministic scheduler), so this file uses the gated
-// engine's own config rather than the unified builder.
-use qelect_agentsim::gated::RunConfig;
+// The exploration drivers take the engine's per-run config rather than
+// the unified builder.
 use qelect_agentsim::sched::Policy;
+use qelect_agentsim::sim::RunConfig;
 use qelect_graph::{families, Bicolored};
 
 fn explore_cfg(max_schedules: usize, swarm_runs: usize) -> ExploreConfig {
@@ -179,14 +178,14 @@ fn recorded_exploration_counterexample_replays_deterministically() {
         .expect("fault surfaces");
 
     let mut scheduler = qelect_agentsim::ReplayScheduler::strict(ce.schedule.clone());
-    let replayed = qelect_agentsim::gated::try_run_gated_with(
+    let replayed = qelect_agentsim::try_run_sim_with(
         &bc,
         RunConfig {
             record_trace: true,
             ..cfg
         },
         &qelect_agentsim::FaultPlan::none(),
-        qelect::elect::elect_agents(bc.r(), fault),
+        vec![ElectProtocol { fault }; bc.r()],
         &mut scheduler,
     )
     .expect("replay run failed");

@@ -1,6 +1,6 @@
-//! Fault-injection acceptance (ISSUE 4): under any generated
-//! [`FaultPlan`] in the eventually-restarting regime, crash-recovering
-//! ELECT must still agree with the gcd oracle on **both** engines;
+//! Fault-injection acceptance: under any generated [`FaultPlan`] in the
+//! eventually-restarting regime, crash-recovering ELECT must still
+//! agree with the gcd oracle;
 //! replaying an identical (plan, seed, schedule) must be
 //! byte-identical; and a crash-free plan must not perturb behavior at
 //! all — pinned against the committed C6 double-election trace.
@@ -9,9 +9,7 @@ use proptest::prelude::*;
 use qelect::prelude::*;
 use qelect::replay::{record_replay_elect_with_plan, shrink_failing_plan};
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::try_run_gated_with;
-use qelect_agentsim::gated::GatedAgent;
-use qelect_agentsim::{AgentOutcome, Interrupt, ReplayScheduler};
+use qelect_agentsim::{try_run_sim_with, AgentOutcome, Interrupt, ReplayScheduler};
 use qelect_graph::{families, Bicolored};
 
 fn acceptance_suite() -> Vec<(&'static str, Bicolored)> {
@@ -61,27 +59,21 @@ fn fingerprint(report: &RunReport) -> String {
 }
 
 #[test]
-fn generated_plans_agree_with_oracle_on_both_engines() {
+fn generated_plans_agree_with_oracle() {
     // The acceptance criterion verbatim: with any generated plan whose
     // crashed agents all eventually restart, ELECT elects exactly when
-    // gcd = 1 — checked against the oracle across both engines.
+    // gcd = 1 — checked against the oracle.
     let mut total_crashes = 0u64;
     for (label, bc) in acceptance_suite() {
         for seed in [0u64, 1] {
             for p in 0..2u64 {
                 let plan = FaultPlan::generate(seed * 31 + p, bc.r(), 25, 2, 1);
-                for engine in Engine::ALL {
-                    let run = qelect::replay::run_elect_with_plan(&bc, seed, engine, &plan)
-                        .unwrap_or_else(|e| panic!("{label} {}: {e}", engine.name()));
-                    qelect::replay::faulty_run_matches_oracle(&bc, &run).unwrap_or_else(|e| {
-                        panic!(
-                            "{label} {} seed {seed} plan {p}: {e}\nplan: {:?}",
-                            engine.name(),
-                            plan
-                        )
-                    });
-                    total_crashes += run.faults.crashes;
-                }
+                let run = qelect::replay::run_elect_with_plan(&bc, seed, &plan)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                qelect::replay::faulty_run_matches_oracle(&bc, &run).unwrap_or_else(|e| {
+                    panic!("{label} seed {seed} plan {p}: {e}\nplan: {plan:?}")
+                });
+                total_crashes += run.faults.crashes;
             }
         }
     }
@@ -101,25 +93,19 @@ fn crashed_agents_recover_and_report_span_metrics() {
         }],
         recovery: Default::default(),
     };
-    for engine in [Engine::Gated, Engine::Sim] {
-        let run = qelect::replay::run_elect_with_plan(&bc, 0, engine, &plan).unwrap();
-        let name = engine.name();
-        assert!(run.clean_election(), "{name}: {:?}", run.report.outcomes);
-        assert_eq!(run.faults.crashes, 1, "{name}");
-        assert_eq!(run.faults.restarts, 1, "{name}");
-        assert!(
-            run.faults.lost_ops >= 1,
-            "{name}: the pending op must be lost"
-        );
-        assert!(
-            run.report
-                .metrics
-                .spans
-                .iter()
-                .any(|s| s.name == "recovery" && s.agent == 0),
-            "{name}: restarted incarnation must attribute its catch-up work"
-        );
-    }
+    let run = qelect::replay::run_elect_with_plan(&bc, 0, &plan).unwrap();
+    assert!(run.clean_election(), "{:?}", run.report.outcomes);
+    assert_eq!(run.faults.crashes, 1);
+    assert_eq!(run.faults.restarts, 1);
+    assert!(run.faults.lost_ops >= 1, "the pending op must be lost");
+    assert!(
+        run.report
+            .metrics
+            .spans
+            .iter()
+            .any(|s| s.name == "recovery" && s.agent == 0),
+        "restarted incarnation must attribute its catch-up work"
+    );
 }
 
 #[test]
@@ -145,22 +131,17 @@ fn exhausted_restart_budget_surfaces_as_interrupt() {
             ..Default::default()
         },
     };
-    for engine in [Engine::Gated, Engine::Sim] {
-        let run = qelect::replay::run_elect_with_plan(&bc, 0, engine, &plan).unwrap();
-        assert_eq!(
-            run.report.outcomes[0],
-            AgentOutcome::Interrupted(Interrupt::Crashed),
-            "{}",
-            engine.name()
-        );
-        assert_eq!(run.faults.aborted, 1, "{}", engine.name());
-    }
+    let run = qelect::replay::run_elect_with_plan(&bc, 0, &plan).unwrap();
+    assert_eq!(
+        run.report.outcomes[0],
+        AgentOutcome::Interrupted(Interrupt::Crashed)
+    );
+    assert_eq!(run.faults.aborted, 1);
 }
 
 #[test]
 fn agent_panics_surface_as_typed_run_errors() {
-    // Satellite: lock-poisoning/panic paths are typed errors through
-    // the unified API, on both engines.
+    // Panic paths are typed errors through the unified API.
     #[derive(Clone)]
     struct Bomb;
     impl Protocol for Bomb {
@@ -172,16 +153,14 @@ fn agent_panics_surface_as_typed_run_errors() {
         }
     }
     let bc = Bicolored::new(families::cycle(5).unwrap(), &[0]).unwrap();
-    for engine in Engine::ALL {
-        let err = qelect_agentsim::run(&bc, &RunConfig::new(0).engine(engine), &Bomb)
-            .expect_err("a panicking agent must not look like a clean run");
-        match err {
-            RunError::AgentPanicked { agent, message } => {
-                assert_eq!(agent, 0, "{engine:?}");
-                assert!(message.contains("integration bomb"), "{message}");
-            }
-            other => panic!("{engine:?}: expected AgentPanicked, got {other}"),
+    let err = qelect_agentsim::run(&bc, &RunConfig::new(0), &Bomb)
+        .expect_err("a panicking agent must not look like a clean run");
+    match err {
+        RunError::AgentPanicked { agent, message } => {
+            assert_eq!(agent, 0);
+            assert!(message.contains("integration bomb"), "{message}");
         }
+        other => panic!("expected AgentPanicked, got {other}"),
     }
 }
 
@@ -208,19 +187,17 @@ fn crash_free_plan_reproduces_committed_c6_trace() {
     // entry point with an empty plan: byte-identical schedule, events
     // and double election. Crash-free plans cost nothing and change
     // nothing.
-    use qelect::anonymous::ring_probe;
+    use qelect::anonymous::RingProbeProtocol;
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/traces/c6_two_leaders.json"
     );
     let trace = Trace::load(path).expect("committed trace parses");
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-    let cfg = RunConfig::new(trace.seed).record_trace(true).to_gated();
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
+    let cfg = RunConfig::new(trace.seed).record_trace(true).to_sim();
+    let agents = vec![RingProbeProtocol; bc.r()];
     let mut scheduler = ReplayScheduler::strict(trace.schedule.clone());
-    let report = try_run_gated_with(&bc, cfg, &FaultPlan::none(), agents, &mut scheduler)
+    let report = try_run_sim_with(&bc, cfg, &FaultPlan::none(), agents, &mut scheduler)
         .expect("crash-free replay cannot fail");
     let leaders = report
         .outcomes
@@ -240,12 +217,12 @@ fn shrink_keeps_passing_plans_whole() {
     // driver must return the plan untouched (and the plan must pass).
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
     let plan = FaultPlan::generate(7, bc.r(), 25, 2, 1);
-    let shrunk = shrink_failing_plan(&bc, 7, Engine::Gated, &plan);
+    let shrunk = shrink_failing_plan(&bc, 7, &plan);
     assert_eq!(shrunk, plan);
 }
 
 proptest! {
-    // Simulation-heavy: each case is two full gated ELECT runs.
+    // Simulation-heavy: each case is two full ELECT runs.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -257,7 +234,7 @@ proptest! {
         trio in any::<bool>(),
     ) {
         // Determinism contract of schedule-addressed faults: recording
-        // a gated run under any generated plan and strictly replaying
+        // a run under any generated plan and strictly replaying
         // its schedule with the same plan reproduces outcomes, events,
         // per-agent counters, fault counters and span metrics exactly.
         let bc = if trio {

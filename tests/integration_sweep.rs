@@ -11,24 +11,19 @@
 //! * the committed C6 double-election witness replays bit-for-bit
 //!   through the cached path, cold and warm.
 
+use qelect::elect::ElectProtocol;
 use qelect::prelude::{gcd_of_class_sizes, Trace};
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::{run_gated_faulty, RunConfig, RunReport};
+use qelect_agentsim::sim::{run_sim_faulty, RunConfig, RunReport};
 use qelect_agentsim::FaultPlan;
 use qelect_bench::sweep::{run_sweep, SweepBucket, SweepConfig};
 use qelect_graph::cache;
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free ELECT through the non-deprecated typed entry.
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
 }
 
 fn small_config(workers: usize) -> SweepConfig {
@@ -49,7 +44,6 @@ fn small_config(workers: usize) -> SweepConfig {
                 p: 0.2,
             },
         ],
-        ..Default::default()
     }
 }
 

@@ -2,28 +2,17 @@
 //! the mobile-agent engine and as messages on the anonymous processor
 //! network must produce the same election result.
 
-use qelect::stepquant::QuantMachine;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
+use qelect::stepquant::{QuantMachine, QuantMachineProtocol};
 use qelect_agentsim::message_net::MessageNet;
-use qelect_agentsim::stepagent::{drive, StepAgent};
-use qelect_agentsim::FaultPlan;
+use qelect_agentsim::stepagent::StepAgent;
+use qelect_agentsim::{run_each, RunConfig};
 use qelect_graph::{families, Bicolored};
 
-/// Crash-free run through the non-deprecated typed entry.
-fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-}
-
 fn native_leader(bc: &Bicolored, ids: &[u64], seed: u64) -> Option<usize> {
-    let agents: Vec<GatedAgent> = ids
-        .iter()
-        .map(|&id| -> GatedAgent { Box::new(move |ctx| drive(&mut QuantMachine::new(id), ctx)) })
-        .collect();
-    let cfg = RunConfig {
-        seed,
-        ..RunConfig::default()
-    };
-    let report = run_gated(bc, cfg, agents);
+    let agents = ids.iter().map(|&id| QuantMachineProtocol { id }).collect();
+    let report = run_each(bc, &RunConfig::new(seed), agents)
+        .expect("sim run failed")
+        .report;
     assert!(
         report.clean_election(),
         "native: {:?} ({:?})",

@@ -14,26 +14,33 @@
 use proptest::prelude::*;
 use qelect::prelude::*;
 // These properties drive scheduler-level knobs (policies, explicit
-// seeds, bounded exploration), so they use the gated engine's own
-// config struct rather than the unified builder.
+// seeds, bounded exploration), so they use the engine's per-run config
+// struct rather than the unified builder.
 use qelect::schedule::Schedule;
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::RunConfig;
+use qelect_agentsim::sim::{run_sim_faulty, RunConfig};
 use qelect_graph::canon::are_isomorphic;
 use qelect_graph::surrounding::{gcd, ordered_classes};
 use qelect_graph::{automorphism, families, symmetricity, Bicolored, ColoredDigraph};
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
+/// Crash-free ELECT on the sim engine.
 fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+    let agents = vec![ElectProtocol::default(); bc.r()];
+    run_sim_faulty(bc, cfg, &FaultPlan::none(), agents).expect("sim run failed")
+}
+
+/// Draw the map and hand it to the collector.
+struct DrawMap(std::sync::mpsc::Sender<qelect::AgentMap>);
+
+impl Protocol for DrawMap {
+    async fn run_async<C: MobileCtxAsync>(
+        &self,
+        ctx: &mut C,
+    ) -> Result<qelect_agentsim::AgentOutcome, qelect_agentsim::Interrupt> {
+        let map = qelect::mapdraw::map_drawing_async(ctx).await?;
+        self.0.send(map).ok();
+        Ok(qelect_agentsim::AgentOutcome::Defeated)
+    }
 }
 
 /// A random connected graph + placement strategy.
@@ -114,22 +121,11 @@ proptest! {
 
     #[test]
     fn map_drawing_reconstructs_instance(bc in instance_strategy(), seed in any::<u64>()) {
-        use qelect_agentsim::gated::{run_gated_faulty, GatedAgent};
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
-        let agents: Vec<GatedAgent> = (0..bc.r())
-            .map(|_| -> GatedAgent {
-                let tx = tx.clone();
-                Box::new(move |ctx| {
-                    let map = qelect::mapdraw::map_drawing(ctx)?;
-                    tx.send(map).ok();
-                    Ok(qelect_agentsim::AgentOutcome::Defeated)
-                })
-            })
-            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let agents: Vec<DrawMap> = (0..bc.r()).map(|_| DrawMap(tx.clone())).collect();
         let cfg = RunConfig { seed, ..RunConfig::default() };
-        let report = run_gated_faulty(&bc, cfg, &FaultPlan::none(), agents)
-            .expect("gated run failed");
+        let report = run_sim_faulty(&bc, cfg, &FaultPlan::none(), agents)
+            .expect("sim run failed");
         prop_assert!(report.interrupted.is_none());
         drop(tx);
         for map in rx {

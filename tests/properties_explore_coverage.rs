@@ -1,90 +1,17 @@
 //! Property tests for the coverage model behind `ExploreSession`:
 //!
-//! * **Engine portability** — the coverage signature is a pure function
-//!   of the grant sequence and the terminal verdict, so the same
-//!   (instance, seed, schedule) triple must hash identically whether the
-//!   run executed on `--engine gated` or `--engine sim`.
 //! * **Worker-count invariance** — a swarm exploration reports the same
 //!   covered-signature set (and the same coverage stats) for 1, 2, and 8
 //!   workers, which is what makes swarm results reproducible.
 
-use proptest::prelude::*;
 use qelect::prelude::*;
-use qelect_agentsim::{gated, signature, ReplayScheduler};
 use qelect_graph::{families, Bicolored};
-
-/// Run one schedule leniently through a registry protocol's explore
-/// driver with full recording, on the given engine.
-fn run_replayed(
-    protocol: &str,
-    bc: &Bicolored,
-    seed: u64,
-    schedule: &[usize],
-    engine: Engine,
-) -> RunReport {
-    let spec = qelect::registry::resolve(protocol)
-        .unwrap()
-        .explore
-        .expect("protocol under test is explorable");
-    let cfg = gated::RunConfig {
-        seed,
-        record_trace: true,
-        ..gated::RunConfig::default()
-    };
-    let mut sched = ReplayScheduler::new(schedule.to_vec());
-    (spec.run)(bc, &cfg, engine, &mut sched).expect("lenient replay cannot fail")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Same (instance, seed, schedule) ⇒ same coverage signature on the
-    /// gated engine and the discrete-event simulator, for both an
-    /// oracle-checked protocol (elect) and an impossibility exhibit
-    /// (anonymous).
-    #[test]
-    fn coverage_signature_is_engine_portable(
-        seed in 0u64..64,
-        len in 0usize..40,
-        stream in any::<u64>(),
-    ) {
-        // Derive the random grant prefix from the scalar strategies (the
-        // offline proptest subset has no collection strategy).
-        let mut s = stream;
-        let prefix: Vec<usize> = (0..len)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (s >> 33) as usize % 3
-            })
-            .collect();
-        for (protocol, agents) in [("elect", vec![0usize, 1, 3]), ("anonymous", vec![0, 3])] {
-            let bc = Bicolored::new(families::cycle(6).unwrap(), &agents).unwrap();
-            let gated_rep = run_replayed(protocol, &bc, seed, &prefix, Engine::Gated);
-            let sim_rep = run_replayed(protocol, &bc, seed, &prefix, Engine::Sim);
-            // The recorded grant sequences must agree before their
-            // hashes can: the drivers are grant-deterministic.
-            prop_assert_eq!(
-                &gated_rep.trace, &sim_rep.trace,
-                "{}: engines recorded different grant sequences", protocol
-            );
-            prop_assert_eq!(&gated_rep.outcomes, &sim_rep.outcomes, "{}", protocol);
-            prop_assert_eq!(
-                signature(&gated_rep),
-                signature(&sim_rep),
-                "{}: coverage signature differs across engines",
-                protocol
-            );
-        }
-    }
-}
 
 #[test]
 fn swarm_covered_sets_are_worker_count_invariant() {
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
     let entry = qelect::registry::resolve("anonymous").unwrap();
-    let run_cfg = RunConfig::new(9).engine(Engine::Sim).record_trace(true);
+    let run_cfg = RunConfig::new(9).record_trace(true);
     let session = ExploreSession::from_entry(entry, &bc, &run_cfg).unwrap();
     let explore_with = |workers: usize| {
         session.explore(&ExploreConfig {
